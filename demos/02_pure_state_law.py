@@ -2,8 +2,8 @@
 
 E_v is the entropy of entanglement (the entropy of either reduced qubit).
 The demo sweeps the Schmidt weight, compares the generic Holevo capacity
-against 1 + E_v, and shows that uniform priors are optimal by testing a
-grid of alternatives.
+against 1 + E_v, and checks the theorem that uniform priors are optimal
+against 2000 random alternatives.
 """
 import numpy as np
 
@@ -28,9 +28,9 @@ print(f"max |C - (1+E_v)| over the sweep: {worst:.3e}")
 
 print()
 w0 = pure_schmidt(np.sqrt(0.7), np.sqrt(0.3))
-best = optimize_gdc_probs(w0, starts=4, seed=0)
-print(f"optimizer's best priors on a^2=0.7: {best['probs']}")
-print(f"optimizer's best capacity: {best['capacity']:.9f}")
+best = optimize_gdc_probs(w0)
+print(f"optimal priors on a^2=0.7: {best['probs']}")
+print(f"optimal capacity: {best['capacity']:.9f}")
 
 rng = np.random.default_rng(1)
 beaten = 0

@@ -29,14 +29,7 @@ from .entanglement import (
     is_ppt,
 )
 from .infotheory import LetterEnsemble, holevo, relative_entropy, von_neumann
-from .linalg import (
-    HermitianEigen,
-    conjugate_local,
-    eig_hermitian,
-    partial_trace,
-    partial_transpose,
-    tensor,
-)
+from .linalg import conjugate_local, partial_trace, partial_transpose, tensor
 from .separable import ErConfig, ErEstimate, SeparableAnsatz, er_numeric
 from .states import (
     PauliDecomposition,
@@ -58,7 +51,6 @@ __all__ = [
     "CgdcEncoding",
     "ErConfig",
     "ErEstimate",
-    "HermitianEigen",
     "LetterEnsemble",
     "PauliDecomposition",
     "SdcAverageCheck",
@@ -74,7 +66,6 @@ __all__ = [
     "concurrence",
     "conjugate_local",
     "distinguishability",
-    "eig_hermitian",
     "entanglement_of_formation",
     "entropy_of_entanglement",
     "er_closed_form",

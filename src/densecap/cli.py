@@ -75,11 +75,11 @@ def cmd_capacity(args):
             probs = [float(x) for x in args.probs.split(",")]
             value = capacity(gdc_ensemble(rho, probs))
         else:
-            result = optimize_gdc_probs(rho, seed=args.seed)
+            result = optimize_gdc_probs(rho)
             probs = [float(p) for p in result["probs"]]
             value = result["capacity"]
     else:  # cgdc-opt
-        result = optimize_cgdc(rho, seed=args.seed)
+        result = optimize_cgdc(rho)
         probs = [float(p) for p in result["encoding"].probs]
         value = result["capacity"]
     _emit({"capacity_bits": value, "mode": args.mode, "probs": probs})
@@ -149,7 +149,6 @@ def build_parser():
     p.add_argument("--state", required=True)
     p.add_argument("--probs", help="comma-separated priors p0,p1,p2,p3 (gdc mode)")
     p.add_argument("--mode", choices=("sdc", "gdc", "cgdc-opt"), default="sdc")
-    p.add_argument("--seed", type=int, default=0, help="optimizer seed")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("measures", help="entanglement measures of a state")

@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .errors import EntropyTooHigh, NotBellDiagonal, NotPure, OutOfRange
-from .infotheory import check_simplex, entropy_of_eigenvalues, von_neumann
+from .infotheory import check_simplex, entropy_of_eigenvalues, von_neumann, xlog2x
 from .linalg import SIGMA_Y, partial_trace, partial_transpose, tensor
-from .states import BELL_VECTORS, validate_state
+from .states import BELL_VECTORS, pure_weight, unit_param, validate_state
 
 PPT_TOL = 1e-10
 PURITY_TOL = 1e-8
@@ -75,10 +75,6 @@ def is_ppt(rho):
     return bool(np.linalg.eigvalsh(partial_transpose(rho)).min() >= -PPT_TOL)
 
 
-def _xlog2x(x):
-    return x * math.log2(x) if x > 0.0 else 0.0
-
-
 def er_closed_form(family, params):
     """Relative entropy of entanglement of a named family, from closed forms.
 
@@ -87,20 +83,20 @@ def er_closed_form(family, params):
     the dominant weight.
     """
     if family == "pure":
-        a2 = _pure_weight(params)
+        a2 = pure_weight(params)
         return binary_entropy(a2)
     if family == "lambda_a":
-        lam = _unit_param(params)
-        value = (lam - 2.0) * math.log2(1.0 - lam / 2.0) + _xlog2x(1.0 - lam)
+        lam = unit_param(params)
+        value = (lam - 2.0) * math.log2(1.0 - lam / 2.0) + xlog2x(1.0 - lam)
         return max(value, 0.0)
     if family == "lambda_b":
-        lam = _unit_param(params)
+        lam = unit_param(params)
         s_plus = (1.0 + math.sqrt(1.0 - 2.0 * lam * (1.0 - lam))) / 2.0
-        value = _xlog2x(s_plus) + _xlog2x(1.0 - s_plus)
-        value -= _xlog2x(1.0 - lam / 2.0) + _xlog2x(lam / 2.0)
+        value = xlog2x(s_plus) + xlog2x(1.0 - s_plus)
+        value -= xlog2x(1.0 - lam / 2.0) + xlog2x(lam / 2.0)
         return max(value, 0.0)
     if family == "werner":
-        f = _unit_param(params)
+        f = unit_param(params)
         return _bell_diag_er(np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3]))
     if family == "bell_diagonal":
         return _bell_diag_er(check_simplex(params, n=4))
@@ -112,26 +108,6 @@ def _bell_diag_er(weights):
     if top <= 0.5:
         return 0.0
     return 1.0 - binary_entropy(top)
-
-
-def _unit_param(params):
-    lam = float(np.atleast_1d(params)[0])
-    if not 0.0 <= lam <= 1.0:
-        raise OutOfRange(f"parameter {lam} outside [0, 1]")
-    return lam
-
-
-def _pure_weight(params):
-    arr = np.atleast_1d(np.asarray(params, dtype=complex))
-    if arr.size == 1:
-        a2 = float(arr[0].real)
-    elif arr.size == 2:
-        a2 = float(abs(arr[0]) ** 2)
-    else:
-        raise OutOfRange("pure family takes [|a|^2] or [a, b]")
-    if not 0.0 <= a2 <= 1.0:
-        raise OutOfRange(f"|a|^2 = {a2} outside [0, 1]")
-    return a2
 
 
 BELL_BASIS = np.column_stack(

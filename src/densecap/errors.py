@@ -5,14 +5,6 @@ class DensecapError(Exception):
     """Base class for all densecap errors."""
 
 
-class NonHermitianInput(DensecapError, ValueError):
-    """Matrix expected to be Hermitian is not, beyond tolerance."""
-
-
-class NoConvergence(DensecapError, RuntimeError):
-    """Iterative routine exhausted its budget without converging."""
-
-
 class BadDimension(DensecapError, ValueError):
     """Matrix has the wrong shape for the requested operation."""
 

@@ -32,6 +32,11 @@ def entropy_of_eigenvalues(eigenvalues):
     return float(-(ev * np.log2(ev)).sum() + 0.0)  # +0.0 normalizes -0.0
 
 
+def xlog2x(x):
+    """x log2 x for a scalar x >= 0, with 0 log 0 = 0."""
+    return x * math.log2(x) if x > 0.0 else 0.0
+
+
 def von_neumann(rho):
     """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits."""
     rho = validate_state(rho)

@@ -4,11 +4,9 @@ Basis ordering is |00>, |01>, |10>, |11> with Alice on the left (high) qubit,
 so a local operation U on Alice's qubit acts as kron(U, I).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import BadDimension, NoConvergence, NonHermitianInput, NonUnitary
+from .errors import BadDimension, NonUnitary
 
 HERMITICITY_TOL = 1e-10
 
@@ -20,42 +18,8 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    values are sorted descending; vectors holds the matching orthonormal
-    eigenvectors as columns, so vectors @ diag(values) @ vectors.conj().T
-    reconstructs the input.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def dagger(m):
     return m.conj().T
-
-
-def is_hermitian(m, tol=HERMITICITY_TOL):
-    return bool(np.abs(m - dagger(m)).max() <= tol)
-
-
-def eig_hermitian(m, tol=HERMITICITY_TOL):
-    """Eigendecompose a Hermitian matrix, eigenvalues sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise BadDimension(f"expected a square matrix, got shape {m.shape}")
-    if not is_hermitian(m, tol):
-        raise NonHermitianInput(
-            f"max |M - M^dag| = {np.abs(m - dagger(m)).max():.3e} exceeds {tol:.0e}"
-        )
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    order = np.argsort(values)[::-1]
-    return HermitianEigen(values=values[order].real, vectors=vectors[:, order])
 
 
 def tensor(a, b):

@@ -6,6 +6,7 @@ the Bell basis, the two lambda families, Werner states, Bell-diagonal
 mixtures, and seeded random density matrices of prescribed rank.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,11 @@ def validate_state(rho, name="state"):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape not in ((2, 2), (4, 4)):
         raise InvalidState(f"{name}: expected 2x2 or 4x4, got {rho.shape}")
-    if np.abs(rho - rho.conj().T).max() > STATE_HERM_TOL:
+    herm_err = np.abs(rho - rho.conj().T).max()
+    # any inf or nan entry makes the residual inf or nan, so one scalar test finds it
+    if not math.isfinite(herm_err):
+        raise InvalidState(f"{name}: has non-finite entries")
+    if herm_err > STATE_HERM_TOL:
         raise InvalidState(f"{name}: not Hermitian within {STATE_HERM_TOL:.0e}")
     if abs(rho.trace().real - 1.0) > STATE_TRACE_TOL or abs(rho.trace().imag) > STATE_TRACE_TOL:
         raise InvalidState(f"{name}: trace {rho.trace():.6g} != 1")
@@ -77,6 +82,30 @@ def _check_unit_interval(x, name):
     if not 0.0 <= x <= 1.0:
         raise OutOfRange(f"{name} = {x} outside [0, 1]")
     return x
+
+
+def unit_param(params):
+    """The single family parameter in [0, 1] from a parameter list."""
+    lam = float(np.atleast_1d(params)[0])
+    if not 0.0 <= lam <= 1.0:
+        raise OutOfRange(f"parameter {lam} outside [0, 1]")
+    return lam
+
+
+def pure_weight(params):
+    """Schmidt weight |a|^2 from either [a, b] amplitudes or [|a|^2]."""
+    arr = np.atleast_1d(np.asarray(params, dtype=complex))
+    if arr.size == 1:
+        a2 = float(arr[0].real)
+    elif arr.size == 2:
+        a2 = float(abs(arr[0]) ** 2)
+        if abs(a2 + abs(arr[1]) ** 2 - 1.0) > 1e-10:
+            raise OutOfRange("Schmidt amplitudes are not normalized")
+    else:
+        raise OutOfRange("pure family takes [|a|^2] or [a, b]")
+    if not 0.0 <= a2 <= 1.0:
+        raise OutOfRange(f"|a|^2 = {a2} outside [0, 1]")
+    return a2
 
 
 def lambda_a(lam):

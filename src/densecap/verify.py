@@ -47,7 +47,12 @@ def default_tolerances():
     }
     override = os.environ.get("DENSECAP_TOL")
     if override:
-        value = float(override)
+        try:
+            value = float(override)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0.0):
+            raise OutOfRange(f"DENSECAP_TOL={override!r} is not a positive number")
         tols["closed_form"] = value
         tols["numeric_er"] = value
     return tols

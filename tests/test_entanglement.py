@@ -219,6 +219,8 @@ class TestErClosedForm:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             er_closed_form("lambda_a", [-0.1])
+        with pytest.raises(OutOfRange):  # unnormalized Schmidt amplitudes
+            er_closed_form("pure", [0.8, 0.7])
 
 
 class TestHashing:

@@ -2,64 +2,17 @@ import numpy as np
 import pytest
 
 from densecap import random_state
-from densecap.errors import BadDimension, NonHermitianInput, NonUnitary
+from densecap.errors import BadDimension, NonUnitary
 from densecap.linalg import (
     ID2,
     ID4,
     SIGMA_X,
     SIGMA_Z,
     conjugate_local,
-    eig_hermitian,
     partial_trace,
     partial_transpose,
     tensor,
 )
-
-
-def random_hermitian(rng, dim=4):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        result = eig_hermitian(ID4)
-        np.testing.assert_allclose(result.values, np.ones(4))
-
-    def test_pauli_x_spectrum(self):
-        result = eig_hermitian(SIGMA_X)
-        np.testing.assert_allclose(result.values, [1.0, -1.0], atol=1e-14)
-
-    def test_reconstruction(self, rng):
-        for _ in range(50):
-            m = random_hermitian(rng)
-            res = eig_hermitian(m)
-            recon = res.vectors @ np.diag(res.values) @ res.vectors.conj().T
-            assert np.abs(recon - m).max() < 1e-10
-
-    def test_columns_orthonormal(self, rng):
-        res = eig_hermitian(random_hermitian(rng))
-        gram = res.vectors.conj().T @ res.vectors
-        assert np.abs(gram - np.eye(4)).max() < 1e-10
-
-    def test_values_descending(self, rng):
-        res = eig_hermitian(random_hermitian(rng))
-        assert np.all(np.diff(res.values) <= 0)
-
-    def test_eigenvalue_sum_is_trace(self, rng):
-        for _ in range(50):
-            m = random_hermitian(rng)
-            res = eig_hermitian(m)
-            assert abs(res.values.sum() - np.trace(m).real) < 1e-10
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NonHermitianInput):
-            eig_hermitian(m)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(BadDimension):
-            eig_hermitian(np.zeros((2, 3)))
 
 
 class TestTensor:

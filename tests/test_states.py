@@ -210,3 +210,8 @@ class TestJsonSchema:
         bad = {"family": "explicit", "params": [], "matrix": {"re": np.eye(4).tolist(), "im": np.zeros((4, 4)).tolist()}}
         with pytest.raises(InvalidState):
             state_from_json_dict(bad)
+        one_nan = np.eye(4) / 4
+        one_nan[0, 0] = np.nan
+        for rho in (one_nan, np.full((4, 4), np.nan)):
+            with pytest.raises(InvalidState):
+                validate_state(rho)

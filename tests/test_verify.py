@@ -20,6 +20,7 @@ from densecap import (
 from densecap.errors import OutOfRange
 from densecap.separable import ErConfig
 from densecap.verify import (
+    default_tolerances,
     format_sweep_csv,
     lemma_campaign,
 )
@@ -257,3 +258,12 @@ class TestCli:
         )
         doc = json.loads(proc.stdout)
         assert doc["tolerances"]["closed_form"] == 1e-2
+
+    @pytest.mark.parametrize("value", ["abc", "-1e-3", "0", "nan"])
+    def test_tolerance_env_rejects_bad_values(self, monkeypatch, value):
+        monkeypatch.setenv("DENSECAP_TOL", value)
+        with pytest.raises(OutOfRange):
+            default_tolerances()
+        proc = run_cli("verify", "--state", "werner:0.75", "--er-starts", "1")
+        assert proc.returncode != 0
+        assert proc.stderr.startswith("error: DENSECAP_TOL")
