@@ -20,7 +20,6 @@ from .densecoding import (
     sdc_letters,
 )
 from .entanglement import (
-    binary_entropy,
     concurrence,
     entanglement_of_formation,
     entropy_of_entanglement,
@@ -35,6 +34,7 @@ from .states import (
     PauliDecomposition,
     bell,
     bell_diagonal,
+    binary_entropy,
     from_pauli,
     lambda_a,
     lambda_b,
@@ -46,53 +46,11 @@ from .states import (
 )
 from .verify import BoundsReport, SweepRow, check_bounds, run_campaign, sweep_family
 
-__all__ = [
-    "BoundsReport",
-    "CgdcEncoding",
-    "ErConfig",
-    "ErEstimate",
-    "LetterEnsemble",
-    "PauliDecomposition",
-    "SdcAverageCheck",
-    "SeparableAnsatz",
-    "SweepRow",
-    "bell",
-    "bell_diagonal",
-    "binary_entropy",
-    "capacity",
-    "capacity_closed_form",
-    "cgdc_ensemble",
-    "check_bounds",
-    "concurrence",
-    "conjugate_local",
-    "distinguishability",
-    "entanglement_of_formation",
-    "entropy_of_entanglement",
-    "er_closed_form",
-    "er_numeric",
-    "from_pauli",
-    "gdc_ensemble",
-    "hashing_distillable",
-    "holevo",
-    "is_ppt",
-    "lambda_a",
-    "lambda_b",
-    "optimize_cgdc",
-    "optimize_gdc_probs",
-    "partial_trace",
-    "partial_transpose",
-    "pure_schmidt",
-    "random_state",
-    "relative_entropy",
-    "run_campaign",
-    "sdc_average_check",
-    "sdc_letters",
-    "sweep_family",
-    "tensor",
-    "to_pauli",
-    "validate_state",
-    "von_neumann",
-    "werner",
-]
+# every function and class imported above
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__module__", "").startswith("densecap.")
+)
 
 __version__ = "0.1.0"

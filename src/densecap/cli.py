@@ -19,13 +19,13 @@ from .densecoding import (
     optimize_gdc_probs,
     sdc_letters,
 )
-from .entanglement import concurrence, entanglement_of_formation, is_ppt
+from .entanglement import concurrence, entanglement_of_formation, er_closed_form, is_ppt
 from .separable import ErConfig, er_numeric
-from .states import FAMILIES, build_family_state, state_from_json_dict
-from .errors import DensecapError
+from .states import FAMILIES, state_from_json_dict
+from .errors import DensecapError, InvalidState
 from .verify import (
+    SWEEPABLE,
     check_bounds,
-    er_closed_for_family,
     lemma_campaign,
     run_campaign,
     sweep_family,
@@ -35,19 +35,21 @@ from .verify import (
 
 def parse_state_arg(text):
     """Resolve a --state argument to (rho, family, params)."""
-    if ":" in text:
-        family, _, raw = text.partition(":")
-        if family in FAMILIES:
-            params = [float(x) for x in raw.split(",") if x != ""]
-            return build_family_state(family, params), family, params
     path = Path(text)
-    if path.exists():
-        with open(path, encoding="utf-8") as handle:
-            return state_from_json_dict(json.load(handle))
-    raise SystemExit(
-        f"cannot interpret state {text!r}: not of the family:params form "
-        f"(families: {', '.join(FAMILIES)}) and no such file"
-    )
+    if path.is_file():
+        try:
+            with open(path, encoding="utf-8") as handle:
+                doc = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InvalidState(f"state file {text}: {exc}") from exc
+        return state_from_json_dict(doc)
+    if ":" not in text:
+        raise InvalidState(
+            f"cannot interpret state {text!r}: no such file, and not of the "
+            f"family:params form (families: {', '.join(FAMILIES)})"
+        )
+    family, _, raw = text.partition(":")
+    return state_from_json_dict({"family": family, "params": [x for x in raw.split(",") if x]})
 
 
 def _clean_floats(obj):
@@ -72,8 +74,9 @@ def cmd_capacity(args):
         probs = [0.25, 0.25, 0.25, 0.25]
     elif args.mode == "gdc":
         if args.probs:
-            probs = [float(x) for x in args.probs.split(",")]
-            value = capacity(gdc_ensemble(rho, probs))
+            ensemble = gdc_ensemble(rho, args.probs.split(","))
+            probs = [float(p) for p in ensemble.probs]
+            value = capacity(ensemble)
         else:
             result = optimize_gdc_probs(rho)
             probs = [float(p) for p in result["probs"]]
@@ -97,9 +100,8 @@ def cmd_measures(args):
         "concurrence": concurrence(rho),
         "ppt": is_ppt(rho),
     }
-    closed = er_closed_for_family(family, params)
-    if closed is not None:
-        payload["e_r_closed"] = closed
+    if family is not None:
+        payload["e_r_closed"] = er_closed_form(family, params)
     _emit(payload)
     return 0
 
@@ -167,7 +169,7 @@ def build_parser():
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="closed-form capacity/E_R sweep to CSV")
-    p.add_argument("--family", choices=("lambda_a", "lambda_b", "werner"), required=True)
+    p.add_argument("--family", choices=SWEEPABLE, required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--step", type=float, required=True)

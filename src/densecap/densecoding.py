@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; perfbench/tracer.py wraps this binding
 
-from .errors import NonUnitary, OutOfRange
-from .infotheory import LetterEnsemble, check_simplex, holevo, relative_entropy, xlog2x
+from .errors import NonUnitary
+from .infotheory import LetterEnsemble, holevo, relative_entropy
 from .linalg import ID2, PAULIS, is_unitary, partial_trace, partial_transpose, tensor
-from .states import pure_weight, unit_param, validate_state
+from .states import check_simplex, parse_family, validate_state
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -101,36 +101,8 @@ def sdc_average_check(w0):
 
 def capacity_closed_form(family, params):
     """SDC capacity of a named family, evaluated from its closed form."""
-    if family == "pure":
-        a2 = pure_weight(params)
-        return 1.0 - xlog2x(a2) - xlog2x(1.0 - a2)
-    if family == "lambda_a":
-        lam = unit_param(params)
-        return (
-            xlog2x(1.0 - lam)
-            + 0.5 * (lam - 2.0) * math.log2(1.0 - lam / 2.0)
-            + 0.5 * xlog2x(lam)
-            + 1.0
-            + lam / 2.0
-        )
-    if family == "lambda_b":
-        lam = unit_param(params)
-        s_plus = (1.0 + math.sqrt(1.0 - 2.0 * lam * (1.0 - lam))) / 2.0
-        value = xlog2x(s_plus) + xlog2x(1.0 - s_plus)
-        value -= (1.0 - lam / 2.0) * math.log2(0.5 * (1.0 - lam / 2.0))
-        if lam > 0.0:
-            value -= (lam / 2.0) * math.log2(lam / 4.0)
-        return value
-    if family == "werner":
-        f = unit_param(params)
-        value = 2.0 + xlog2x(f)
-        if f < 1.0:
-            value += (1.0 - f) * math.log2((1.0 - f) / 3.0)
-        return max(value, 0.0)
-    if family == "bell_diagonal":
-        weights = check_simplex(params, n=4)
-        return max(2.0 + sum(xlog2x(w) for w in weights), 0.0)
-    raise OutOfRange(f"unknown family {family!r}")
+    row, _, args = parse_family(family, params)
+    return row.capacity(*args)
 
 
 def distinguishability(ensemble):

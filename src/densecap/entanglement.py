@@ -2,32 +2,23 @@
 
 Covers the pure-state entropy of entanglement, the concurrence and
 entanglement of formation (via the spin-flip closed form), the positive
-partial transpose test, closed forms for the relative entropy of
-entanglement of the standard families, and the hashing-distillable
-fraction of Bell-diagonal states.  The numerical minimizer behind
-er_numeric lives in densecap.separable.
+partial transpose test, the relative entropy of entanglement of the
+named families (closed forms from the family table in densecap.states),
+and the hashing-distillable fraction of Bell-diagonal states.  The
+numerical minimizer behind er_numeric lives in densecap.separable.
 """
 
 import math
 
 import numpy as np
 
-from .errors import EntropyTooHigh, NotBellDiagonal, NotPure, OutOfRange
-from .infotheory import check_simplex, entropy_of_eigenvalues, von_neumann, xlog2x
+from .errors import EntropyTooHigh, NotBellDiagonal, NotPure
+from .infotheory import entropy_of_eigenvalues, von_neumann
 from .linalg import SIGMA_Y, partial_trace, partial_transpose, tensor
-from .states import BELL_VECTORS, pure_weight, unit_param, validate_state
+from .states import BELL_VECTORS, binary_entropy, parse_family, validate_state
 
 PPT_TOL = 1e-10
 PURITY_TOL = 1e-8
-
-
-def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    total = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
 
 
 def entropy_of_entanglement(rho):
@@ -76,38 +67,9 @@ def is_ppt(rho):
 
 
 def er_closed_form(family, params):
-    """Relative entropy of entanglement of a named family, from closed forms.
-
-    Bell-diagonal mixtures (Werner states included) are separable exactly
-    when every weight is at most 1/2; above that the value depends only on
-    the dominant weight.
-    """
-    if family == "pure":
-        a2 = pure_weight(params)
-        return binary_entropy(a2)
-    if family == "lambda_a":
-        lam = unit_param(params)
-        value = (lam - 2.0) * math.log2(1.0 - lam / 2.0) + xlog2x(1.0 - lam)
-        return max(value, 0.0)
-    if family == "lambda_b":
-        lam = unit_param(params)
-        s_plus = (1.0 + math.sqrt(1.0 - 2.0 * lam * (1.0 - lam))) / 2.0
-        value = xlog2x(s_plus) + xlog2x(1.0 - s_plus)
-        value -= xlog2x(1.0 - lam / 2.0) + xlog2x(lam / 2.0)
-        return max(value, 0.0)
-    if family == "werner":
-        f = unit_param(params)
-        return _bell_diag_er(np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3]))
-    if family == "bell_diagonal":
-        return _bell_diag_er(check_simplex(params, n=4))
-    raise OutOfRange(f"unknown family {family!r}")
-
-
-def _bell_diag_er(weights):
-    top = float(weights.max())
-    if top <= 0.5:
-        return 0.0
-    return 1.0 - binary_entropy(top)
+    """Relative entropy of entanglement of a named family, from its closed form."""
+    row, _, args = parse_family(family, params)
+    return row.e_r(*args)
 
 
 BELL_BASIS = np.column_stack(

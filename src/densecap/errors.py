@@ -13,15 +13,15 @@ class NonUnitary(DensecapError, ValueError):
     """Matrix expected to be unitary is not, beyond tolerance."""
 
 
-class NotNormalized(DensecapError, ValueError):
-    """Amplitude pair is not normalized."""
-
-
 class OutOfRange(DensecapError, ValueError):
     """Family parameter lies outside its admissible range."""
 
 
-class NotASimplex(DensecapError, ValueError):
+class NotNormalized(OutOfRange):
+    """Amplitude pair is not normalized."""
+
+
+class NotASimplex(OutOfRange):
     """Probability vector is not a valid simplex point."""
 
 

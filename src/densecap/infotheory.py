@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, NotASimplex
-from .states import validate_state
+from .errors import InvalidState
+from .states import check_simplex, validate_state
 
 SUPPORT_KERNEL_TOL = 1e-12   # eigenvalues of rho below this define its kernel
 SUPPORT_WEIGHT_TOL = 1e-10   # sigma weight inside the kernel above this -> +inf
@@ -30,11 +30,6 @@ def entropy_of_eigenvalues(eigenvalues):
     if ev.size == 0:
         return 0.0
     return float(-(ev * np.log2(ev)).sum() + 0.0)  # +0.0 normalizes -0.0
-
-
-def xlog2x(x):
-    """x log2 x for a scalar x >= 0, with 0 log 0 = 0."""
-    return x * math.log2(x) if x > 0.0 else 0.0
 
 
 def von_neumann(rho):
@@ -65,16 +60,6 @@ def relative_entropy(sigma, rho):
     supported = ~kernel
     value -= float(weights[supported] @ np.log2(ev_rho[supported]))
     return _clamp(value)
-
-
-def check_simplex(probs, n=None, tol=1e-12):
-    """Validate a probability vector; returns it as a float array."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 1 or (n is not None and p.size != n):
-        raise NotASimplex(f"expected {n} probabilities, got shape {p.shape}")
-    if p.min() < -tol or abs(p.sum() - 1.0) > tol:
-        raise NotASimplex(f"probabilities {p.tolist()} do not form a simplex")
-    return np.clip(p, 0.0, None)
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,9 @@ LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
 ATOM_MERGE_TOL = 1e-12   # product vectors closer than this are one atom
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
+RANDOM_SEED_ATOMS = 16   # product states in each random seed mixture
+STALL_TOL = 1e-9         # a descent stops after two sweeps improving less than this
+PPT_EXIT_TOL = 1e-9      # PPT states whose exact decomposition scores below this exit at once
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
 
@@ -58,22 +61,9 @@ def qubit_from_bloch(direction):
     x, y, z = direction
     theta = math.acos(min(1.0, max(-1.0, z)))
     phi = math.atan2(y, x)
-    return qubit_from_angles(theta, phi)
-
-
-def qubit_from_angles(theta, phi):
     return np.array(
         [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex
     )
-
-
-def angles_from_qubit(q):
-    """Bloch angles (theta, phi) of a pure qubit state, global phase dropped."""
-    a0, a1 = abs(q[0]), abs(q[1])
-    theta = 2.0 * math.atan2(a1, a0)
-    if a0 < 1e-15 or a1 < 1e-15:
-        return theta, 0.0
-    return theta, float(np.angle(q[1] * np.conj(q[0])))
 
 
 def product_vector(qubit_a, qubit_b):
@@ -95,37 +85,17 @@ def nearest_product_vector(psi):
 
 @dataclass(frozen=True)
 class SeparableAnsatz:
-    """Mixture of product pure states: weights (k,) and Bloch angles (k, 4).
-
-    Angle columns are (theta_a, phi_a, theta_b, phi_b).
-    """
+    """Mixture of product pure states: weights (k,) and product vectors (k, 4)."""
 
     weights: np.ndarray
-    angles: np.ndarray
+    vectors: np.ndarray
 
     @property
     def k(self):
         return len(self.weights)
 
-    def component_vectors(self):
-        return np.stack(
-            [
-                product_vector(qubit_from_angles(ta, pa), qubit_from_angles(tb, pb))
-                for ta, pa, tb, pb in self.angles
-            ]
-        )
-
     def state(self):
-        vecs = self.component_vectors()
-        return np.einsum("i,ij,ik->jk", self.weights, vecs, vecs.conj())
-
-
-def _ansatz_from_atoms(vectors, weights):
-    angles = []
-    for v in vectors:
-        qa, qb = split_product_vector(v)
-        angles.append([*angles_from_qubit(qa), *angles_from_qubit(qb)])
-    return SeparableAnsatz(weights=np.asarray(weights, dtype=float), angles=np.array(angles))
+        return np.einsum("i,ij,ik->jk", self.weights, self.vectors, self.vectors.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +378,8 @@ def _random_seed(rng, k):
 class ErConfig:
     starts: int = 12
     seed: int = 0
-    components: int = 16
     max_iter: int = 1500
     gap_tol: float = 1e-5
-    improvement_tol: float = 1e-9
-    ppt_exit_tol: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -552,7 +519,7 @@ def _run_descent(objective, mixture, rng, config):
         mixture.prune()
 
         new_value = objective.value(mixture.rho())
-        stalls = stalls + 1 if value - new_value < config.improvement_tol else 0
+        stalls = stalls + 1 if value - new_value < STALL_TOL else 0
         value = min(value, new_value)
         if stalls >= 2:
             return value, gap <= config.gap_tol, iterations, gap
@@ -580,21 +547,22 @@ def er_numeric(w, config=None):
     seeds.append(_tetra_seed())
     seeds.append(_marginal_seed(w))
     while len(seeds) < config.starts:
-        seeds.append(_random_seed(rng, config.components))
+        seeds.append(_random_seed(rng, RANDOM_SEED_ATOMS))
 
     start_vals = [objective.value(_AtomMixture(v, x).rho()) for v, x in seeds]
 
-    if is_ppt(w) and start_vals[0] <= config.ppt_exit_tol:
+    if is_ppt(w) and start_vals[0] <= PPT_EXIT_TOL:
+        vectors, weights = seeds[0]
         return ErEstimate(
             value=max(start_vals[0], 0.0),
-            argmin=_ansatz_from_atoms(*seeds[0]),
+            argmin=SeparableAnsatz(weights=weights, vectors=vectors),
             converged=True,
             iterations=0,
             gap=max(start_vals[0], 0.0),
         )
 
     order = sorted(range(len(seeds)), key=lambda i: (start_vals[i], i))
-    short = replace(config, max_iter=max(20, config.max_iter // 8))
+    short = replace(config, max_iter=min(config.max_iter, max(20, config.max_iter // 8)))
 
     best_value, best_mixture, best_conv, best_gap = math.inf, None, False, math.inf
     total_iterations = 0
@@ -616,12 +584,11 @@ def er_numeric(w, config=None):
         if value <= best_value:
             best_value, best_conv, best_gap = value, conv, gap
 
-    ansatz = _ansatz_from_atoms(
-        np.stack(best_mixture.vectors), np.array(best_mixture.weights)
-    )
     return ErEstimate(
         value=max(best_value, 0.0),
-        argmin=ansatz,
+        argmin=SeparableAnsatz(
+            weights=np.array(best_mixture.weights), vectors=np.stack(best_mixture.vectors)
+        ),
         converged=best_conv,
         iterations=total_iterations,
         gap=best_gap,

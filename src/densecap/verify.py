@@ -13,6 +13,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .densecoding import (
     capacity,
     capacity_closed_form,
@@ -23,18 +25,17 @@ from .densecoding import (
 from .entanglement import entanglement_of_formation, entropy_of_entanglement, er_closed_form
 from .errors import NotPure, OutOfRange
 from .separable import ErConfig, er_numeric
-from .states import random_state, validate_state
+from .states import FAMILIES, parse_family, random_state, validate_state
 
 CLOSED_FORM_TOL = 1e-9
 NUMERIC_ER_TOL = 1e-3
 CONJECTURE_TOL = 1e-6
 LEMMA_TOL = 1e-12
+FAMILY_MATCH_TOL = 1e-12  # largest entry gap between w0 and the state its family/params build
+MAX_SWEEP_ROWS = 10**6
 
 FLAG_NAMES = ("lower_bound_ok", "ef_upper_ok", "er_conjecture_ok", "delta_bound_ok", "lemma_ok")
 THEOREM_FLAGS = ("lower_bound_ok", "ef_upper_ok", "delta_bound_ok", "lemma_ok")
-
-# closed relative-entropy-of-entanglement forms exist for these families
-_ER_FAMILIES = ("pure", "pure_schmidt", "lambda_a", "lambda_b", "werner", "bell_diagonal")
 
 
 def default_tolerances():
@@ -101,25 +102,23 @@ class BoundsReport:
         }
 
 
-def er_closed_for_family(family, params):
-    if family is None or family not in _ER_FAMILIES:
-        return None
-    if family == "pure_schmidt":
-        if len(params) == 4:  # interleaved re/im amplitude pairs
-            params = [complex(params[0], params[1]), complex(params[2], params[3])]
-        return er_closed_form("pure", params)
-    return er_closed_form(family, params)
-
-
 def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, descriptor=None):
     """Evaluate every bound for one shared state and flag each one.
 
-    When the state belongs to a family with closed forms those are used for
-    the relative-entropy comparisons at the tight tolerance; otherwise the
-    numerical upper bound stands in, with a recorded caveat, at the looser
-    numeric tolerance.
+    Given a family, the closed form of E_R is used for the relative-entropy
+    comparisons at the tight tolerance, after checking that family and
+    params build w0 (OutOfRange if not); otherwise the numerical upper
+    bound stands in, with a recorded caveat, at the looser numeric
+    tolerance.
     """
     w0 = validate_state(w0)
+    e_r_closed = None
+    if family is not None:
+        row, _, args = parse_family(family, params)
+        gap = float(np.abs(row.build(*args) - w0).max())
+        if not gap <= FAMILY_MATCH_TOL:
+            raise OutOfRange(f"{family} {list(params)} does not build the given state (gap {gap:.3g})")
+        e_r_closed = row.e_r(*args)
     tols = dict(tolerances or default_tolerances())
     caveats = []
 
@@ -133,7 +132,6 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
         e_v = None
 
     e_f = entanglement_of_formation(w0)
-    e_r_closed = er_closed_for_family(family, params)
     estimate = er_numeric(w0, er_config or ErConfig())
     if not estimate.converged:
         caveats.append("numeric E_R minimizer stopped before certifying its gap")
@@ -189,21 +187,24 @@ class SweepRow:
     one_plus_er: float
 
 
-SWEEPABLE = ("lambda_a", "lambda_b", "werner")
+# the families with a one-parameter form, whose parameter lies in [0, 1]
+SWEEPABLE = tuple(name for name, family in FAMILIES.items() if 1 in family.forms)
 
 
 def sweep_family(family, start, stop, step):
     """Closed-form capacity and E_R rows over a parameter grid, in order."""
     if family not in SWEEPABLE:
         raise OutOfRange(f"sweep supports {SWEEPABLE}, got {family!r}")
-    if step <= 0:
+    if not step > 0:
         raise OutOfRange("step must be positive")
     if not (0.0 <= start <= stop <= 1.0):
         raise OutOfRange(f"grid [{start}, {stop}] outside the family domain [0, 1]")
+    steps = (stop + 1e-12 - start) / step  # the grid has int(steps) + 1 rows
+    if steps >= MAX_SWEEP_ROWS:
+        raise OutOfRange(f"grid of {steps:.3g} steps has more than {MAX_SWEEP_ROWS} rows")
 
     rows = []
-    k = 0
-    while True:
+    for k in range(int(steps) + 2):  # one spare for rounding in steps
         param = start + k * step
         if param > stop + 1e-12:
             break
@@ -211,7 +212,6 @@ def sweep_family(family, start, stop, step):
         e_r = er_closed_form(family, [param])
         c = capacity_closed_form(family, [param])
         rows.append(SweepRow(param=param, e_r=e_r, c=c, one_plus_er=1.0 + e_r))
-        k += 1
     return rows
 
 

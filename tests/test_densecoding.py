@@ -27,7 +27,7 @@ from densecap import (
     sdc_letters,
     werner,
 )
-from densecap.errors import NonUnitary, OutOfRange
+from densecap.errors import NonUnitary, NotASimplex, OutOfRange
 from densecap.infotheory import entropy_of_eigenvalues, von_neumann
 from densecap.linalg import ID2, partial_trace, tensor
 from densecap.states import PauliDecomposition, projector
@@ -184,8 +184,8 @@ class TestClosedForms:
         assert abs(capacity_closed_form("lambda_a", [0.5]) - C_LAMBDA_A_05) < 1e-12
 
     def test_pure_form(self):
-        assert abs(capacity_closed_form("pure", [0.5]) - 2.0) < 1e-12
-        assert abs(capacity_closed_form("pure", [1.0]) - 1.0) < 1e-12
+        assert abs(capacity_closed_form("pure_schmidt", [0.5]) - 2.0) < 1e-12
+        assert abs(capacity_closed_form("pure_schmidt", [1.0]) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("family,builder", [
         ("lambda_a", lambda_a),
@@ -210,6 +210,8 @@ class TestClosedForms:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             capacity_closed_form("werner", [1.2])
+        with pytest.raises(NotASimplex):
+            capacity_closed_form("bell_diagonal", [math.nan, 0, 0, 1])
 
 
 class TestBlockStructure:
@@ -278,7 +280,7 @@ class TestOptimizeGdcProbs:
             w0 = pure_schmidt(math.sqrt(a2), math.sqrt(1 - a2))
             result = optimize_gdc_probs(w0)
             np.testing.assert_array_equal(result["probs"], [0.25] * 4)
-            expected = capacity_closed_form("pure", [a2])
+            expected = capacity_closed_form("pure_schmidt", [a2])
             assert abs(result["capacity"] - expected) < 1e-9
 
     def test_maximally_mixed_is_flat(self):

@@ -22,7 +22,7 @@ from densecap import (
     von_neumann,
     werner,
 )
-from densecap.errors import EntropyTooHigh, NotBellDiagonal, NotPure, OutOfRange
+from densecap.errors import EntropyTooHigh, NotASimplex, NotBellDiagonal, NotPure, OutOfRange
 from densecap.linalg import tensor
 from densecap.states import projector
 
@@ -200,7 +200,7 @@ class TestErClosedForm:
         for a2 in (0.2, 0.5, 0.9):
             rho = pure_schmidt(math.sqrt(a2), math.sqrt(1 - a2))
             assert abs(
-                er_closed_form("pure", [a2]) - entropy_of_entanglement(rho)
+                er_closed_form("pure_schmidt", [a2]) - entropy_of_entanglement(rho)
             ) < 1e-12
 
     def test_ordered_below_formation_on_grids(self):
@@ -220,7 +220,9 @@ class TestErClosedForm:
         with pytest.raises(OutOfRange):
             er_closed_form("lambda_a", [-0.1])
         with pytest.raises(OutOfRange):  # unnormalized Schmidt amplitudes
-            er_closed_form("pure", [0.8, 0.7])
+            er_closed_form("pure_schmidt", [0.8, 0.7])
+        with pytest.raises(NotASimplex):
+            er_closed_form("bell_diagonal", [math.nan, 0.5, 0.5, 0])
 
 
 class TestHashing:

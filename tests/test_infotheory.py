@@ -134,3 +134,5 @@ class TestHolevo:
         rho = random_state(seed=12, rank=4)
         with pytest.raises(NotASimplex):
             LetterEnsemble(letters=[rho, rho], probs=[0.7, 0.7])
+        with pytest.raises(NotASimplex):
+            LetterEnsemble(letters=[rho, rho], probs=[float("nan"), 1.0])

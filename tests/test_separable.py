@@ -169,6 +169,11 @@ class TestErNumeric:
         assert not tight.converged  # budget too small to certify
         assert tight.value >= er_closed_form("werner", [0.9]) - 1e-9
 
+    def test_zero_iteration_budget(self):
+        estimate = er_numeric(werner(0.9), ErConfig(max_iter=0))
+        assert estimate.iterations == 0
+        assert not estimate.converged
+
     @pytest.mark.parametrize("family,builder", [
         ("lambda_a", lambda_a),
         ("lambda_b", lambda_b),

@@ -1,16 +1,23 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecap import (
     bell,
     bell_diagonal,
+    capacity,
+    capacity_closed_form,
+    er_closed_form,
     from_pauli,
     lambda_a,
     lambda_b,
     pure_schmidt,
     random_state,
+    sdc_letters,
     to_pauli,
     validate_state,
     werner,
@@ -18,6 +25,8 @@ from densecap import (
 from densecap.errors import InvalidState, NotASimplex, NotNormalized, OutOfRange
 from densecap.linalg import ID2, PAULIS, partial_trace, tensor
 from densecap.states import (
+    FAMILIES,
+    build_family_state,
     state_from_json_dict,
     state_to_json_dict,
 )
@@ -60,6 +69,10 @@ class TestBell:
         for p in PAULIS:
             value = np.trace(rho @ tensor(p, p)).real
             assert abs(value + 1.0) < 1e-12
+
+    def test_unknown_label(self):
+        with pytest.raises(OutOfRange):
+            bell("xyz")
 
     def test_mutually_orthogonal(self):
         names = ("phi+", "phi-", "psi+", "psi-")
@@ -114,6 +127,69 @@ class TestFamilies:
             bell_diagonal([0.5, 0.5, 0.5, -0.5])
         with pytest.raises(NotASimplex):
             bell_diagonal([0.3, 0.3, 0.3, 0.3])
+        with pytest.raises(NotASimplex):
+            bell_diagonal([math.nan, 0.5, 0.5, 0.0])
+
+
+def draw_family_params(data, name, count):
+    """A valid parameter list of the given length for family name."""
+    unit = st.floats(0.0, 1.0)
+    if name == "bell_diagonal":
+        raw = data.draw(st.lists(unit, min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3))
+        return [w / sum(raw) for w in raw]
+    if count == 1:
+        return [data.draw(unit)]
+    theta, phase_a, phase_b = (data.draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(3))
+    if count == 2:  # real Schmidt amplitudes [a, b]
+        return [math.cos(theta), math.sin(theta)]
+    a = math.cos(theta) * complex(math.cos(phase_a), math.sin(phase_a))
+    b = math.sin(theta) * complex(math.cos(phase_b), math.sin(phase_b))
+    return [a.real, a.imag, b.real, b.imag]
+
+
+class TestFamilyTable:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_row(self, data):
+        name = data.draw(st.sampled_from(sorted(FAMILIES)))
+        forms = FAMILIES[name].forms
+        params = draw_family_params(data, name, data.draw(st.sampled_from(sorted(forms))))
+        generic = capacity(sdc_letters(build_family_state(name, params)))
+        assert abs(capacity_closed_form(name, params) - generic) < 1e-9
+        assert er_closed_form(name, params) <= generic + 1e-9
+        for count in set(range(6)) - set(forms):
+            for entry in (build_family_state, capacity_closed_form, er_closed_form):
+                with pytest.raises(OutOfRange):
+                    entry(name, [0.25] * count)
+
+    def test_one_parameter_edges(self):
+        # 5e-324 / 4 underflows to 0, and lambda_b's capacity must not take log2 of it
+        for name in (n for n, family in FAMILIES.items() if 1 in family.forms):
+            for x in (0.0, 5e-324, 1e-323, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0):
+                generic = capacity(sdc_letters(build_family_state(name, [x])))
+                assert abs(capacity_closed_form(name, [x]) - generic) < 1e-9
+                assert er_closed_form(name, [x]) <= generic + 1e-9
+
+    def test_reader_rejects_bad_input(self):
+        for name, params in (
+            ("foo", [0.5]),
+            ("werner", ["abc"]),
+            ("werner", 0.5),
+            ("werner", "1"),
+            ("pure_schmidt", [0.8, 0.7]),
+            ("pure_schmidt", [1.5]),
+            ("pure_schmidt", [math.nan, 0.0]),
+        ):
+            for entry in (build_family_state, capacity_closed_form, er_closed_form):
+                with pytest.raises(OutOfRange):
+                    entry(name, params)
+
+    def test_pure_schmidt_forms_agree(self):
+        one = build_family_state("pure_schmidt", [0.36])
+        np.testing.assert_allclose(build_family_state("pure_schmidt", [0.6, 0.8]), one, atol=1e-15)
+        np.testing.assert_allclose(
+            build_family_state("pure_schmidt", [0.6, 0.0, 0.8, 0.0]), one, atol=1e-15
+        )
 
 
 class TestPauliDecomposition:
@@ -215,3 +291,6 @@ class TestJsonSchema:
         for rho in (one_nan, np.full((4, 4), np.nan)):
             with pytest.raises(InvalidState):
                 validate_state(rho)
+        for doc in ([0.75], {"family": "explicit"}, {"family": "explicit", "matrix": {"re": "x"}}):
+            with pytest.raises(InvalidState):
+                state_from_json_dict(doc)

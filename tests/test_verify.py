@@ -82,6 +82,10 @@ class TestCheckBounds:
         report = check_bounds(random_state(seed=78, rank=3), er_config=FAST_ER)
         assert any("upper bound" in c for c in report.caveats)
 
+    def test_family_must_build_the_state(self):
+        with pytest.raises(OutOfRange):
+            check_bounds(werner(0.75), family="werner", params=[1.0], er_config=FAST_ER)
+
     def test_informational_distillable_lower_bound(self):
         report = check_bounds(bell("phi+"), family="pure_schmidt", params=[0.5], er_config=FAST_ER)
         assert abs(report.e_d_lower_informational - 1.0) < 1e-12
@@ -138,6 +142,8 @@ class TestSweep:
             sweep_family("bell_diagonal", 0.0, 1.0, 0.1)
         with pytest.raises(OutOfRange):
             sweep_family("lambda_a", 0.0, 1.0, -0.5)
+        with pytest.raises(OutOfRange):  # row count is capped before any row is built
+            sweep_family("werner", 0.0, 1.0, 1e-300)
 
 
 class TestCampaign:
@@ -205,7 +211,7 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
-        assert abs(doc["e_r_closed"] - er_closed_form("pure", [0.36])) < 1e-12
+        assert abs(doc["e_r_closed"] - er_closed_form("pure_schmidt", [0.36])) < 1e-12
 
     def test_verify_explicit_json_file(self, tmp_path):
         from densecap.states import state_to_json_dict
@@ -242,9 +248,25 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert doc["all_passed"] is True
 
-    def test_bad_state_argument(self):
-        proc = run_cli("capacity", "--state", "nonsense")
-        assert proc.returncode != 0
+    def test_bad_state_argument(self, tmp_path):
+        cases = [
+            ["--state", state]
+            for state in (
+                "nonsense", "werner:abc", "werner:0.5,0.3", "lambda_a:", "foo:0.5",
+                "pure_schmidt:0.8,0.7",
+            )
+        ]
+        for probs in ("a,b,c,d", "nan,0,0,1"):
+            cases.append(["--state", "werner:0.75", "--mode", "gdc", "--probs", probs])
+        for i, text in enumerate(("not json", "[0.75]", '{"family": "explicit", "params": []}')):
+            path = tmp_path / f"state{i}.json"
+            path.write_text(text)
+            cases.append(["--state", str(path)])
+        for args in cases:
+            proc = run_cli("capacity", *args)
+            assert proc.returncode == 1, args
+            assert proc.stderr.startswith("error: "), (args, proc.stderr)
+            assert "Traceback" not in proc.stderr, args
 
     def test_tolerance_env_override(self, tmp_path):
         import os
