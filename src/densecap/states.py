@@ -55,14 +55,6 @@ def validate_state(rho, name="state"):
     return rho
 
 
-def is_valid_state(rho):
-    try:
-        validate_state(rho)
-    except InvalidState:
-        return False
-    return True
-
-
 def xlog2x(x):
     """x log2 x for a scalar x >= 0, with 0 log 0 = 0."""
     return x * math.log2(x) if x > 0.0 else 0.0
