@@ -17,7 +17,7 @@ from densecap import (
 )
 from densecap.separable import ErConfig
 
-config = ErConfig(starts=4, max_iter=600)
+config = ErConfig(max_iter=600)
 
 print("state              concurrence   E_F        E_R closed   E_R numeric   gap cert")
 for label, rho, family, params in (

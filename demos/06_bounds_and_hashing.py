@@ -18,7 +18,7 @@ from densecap.separable import ErConfig
 from densecap.verify import run_campaign
 
 print("=== bound campaign on 40 seeded random states (ranks 1-4) ===")
-summary, reports = run_campaign(40, seed=5, er_config=ErConfig(starts=4, max_iter=500))
+summary, reports = run_campaign(40, seed=5, er_config=ErConfig(max_iter=500))
 print("flag failures:", summary["flag_failures"])
 print("theorem violations:   ", summary["theorem_violations"])
 print("conjecture violations:", summary["conjecture_violations"])

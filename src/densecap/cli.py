@@ -91,7 +91,7 @@ def cmd_capacity(args):
 
 def cmd_measures(args):
     rho, family, params = parse_state_arg(args.state)
-    config = ErConfig(starts=args.er_starts, seed=args.er_seed)
+    config = ErConfig(seed=args.er_seed)
     estimate = er_numeric(rho, config)
     payload = {
         "e_f": entanglement_of_formation(rho),
@@ -107,7 +107,7 @@ def cmd_measures(args):
 
 
 def cmd_verify(args):
-    er_config = ErConfig(starts=args.er_starts, seed=args.er_seed)
+    er_config = ErConfig(seed=args.er_seed)
     if args.state:
         rho, family, params = parse_state_arg(args.state)
         report = check_bounds(rho, family=family, params=params, er_config=er_config)
@@ -155,7 +155,6 @@ def build_parser():
 
     p = sub.add_parser("measures", help="entanglement measures of a state")
     p.add_argument("--state", required=True)
-    p.add_argument("--er-starts", type=int, default=12)
     p.add_argument("--er-seed", type=int, default=0)
     p.set_defaults(func=cmd_measures)
 
@@ -164,7 +163,6 @@ def build_parser():
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--er-starts", type=int, default=12)
     p.add_argument("--er-seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

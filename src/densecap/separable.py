@@ -1,42 +1,46 @@
 """Relative entropy of entanglement by minimization over separable states.
 
-The feasible set is parameterized as a finite mixture of product pure
-states (a SeparableAnsatz).  Minimizing S(W || rho) over it is convex in
-rho and is solved by fully-corrective conditional gradient: each sweep
-finds the product state that best decreases the objective (a Newton
-ascent over Bob's Bloch direction from the best points of a fixed grid),
-adds it at weight 0, and re-optimizes all weights by active-set Newton
-on the simplex.  Every iterate is a separable mixture, so the value is
-always an upper bound on the true minimum.  The conditional-gradient gap
-bounds its distance to that minimum as far as the product-state search
-is exact, which is audited on dense sphere grids, not proved.
+For two qubits the separable states are exactly the PPT states (Horodecki,
+Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
+{sigma > 0, sigma^Gamma > 0}: a smooth convex problem in the 15 Pauli
+coordinates of sigma, solved by a path-following log-det barrier method
+with Newton centering steps.  The final sigma is written as <= 4 product
+pure states (a SeparableAnsatz, by the spin-flip/Takagi construction); the
+value at that explicit mixture is an upper bound on E_R, and its
+conditional-gradient gap (a Newton ascent over Bob's Bloch direction from
+the best points of a fixed grid) bounds the distance to the minimum as far
+as that product-state search is exact, which is audited on dense sphere
+grids, not proved.
 
-PPT states start from an exact product decomposition (spin-flip/Takagi
-construction) at numerical zero, pure states from their Schmidt terms.
+PPT states exit at their exact product decomposition, pure states at their
+Schmidt terms.
 """
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 # unused here; perfbench/tracer.py looks both names up on this module (TRACED_SOLVERS)
 from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .entanglement import is_ppt
+from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
-from .linalg import ID2, PAULIS, SIGMA_Y, partial_trace, tensor
+from .linalg import ID2, PAULIS, SIGMA_Y, tensor
 from .states import validate_state
 
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
-ATOM_MERGE_TOL = 1e-12   # product vectors closer than this are one atom
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
-RANDOM_SEED_ATOMS = 16   # product states in each random seed mixture
-STALL_TOL = 1e-9         # stop after two sweeps improving less than this without halving the gap
 PPT_EXIT_TOL = 1e-9      # PPT states whose exact decomposition scores below this exit at once
-NEWTON_MAX_STEPS = 100   # Newton steps per reweighting of the mixture
 GRID_STARTS = 24         # best grid directions the product-state ascent starts from
 ASCENT_STEPS = 12        # steps of that ascent
+BARRIER_START = 1.0      # weight t of the objective against the barrier at the first centering
+BARRIER_GROWTH = 30.0    # factor on t after each centering
+BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER_NU / t of E_R
+CENTERING_TOL = 1e-10    # centered once the Newton decrement is below this share of the value
+LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of descent
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
 
@@ -45,9 +49,11 @@ _OPS_A = np.stack([tensor(p, ID2) for p in PAULIS])
 _OPS_B = np.stack([tensor(ID2, p) for p in PAULIS])
 _OPS_AB = np.stack([tensor(pm, pn) for pm in PAULIS for pn in PAULIS])
 
-_TETRA = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-) / math.sqrt(3.0)
+# sigma = I/4 + sum_k x_k P_k / 4 over the 15 Pauli products (block 0), and its partial
+# transpose on B (block 1), where the terms with sigma_y on B change sign
+_PAULI15 = np.concatenate([_OPS_A, _OPS_B, _OPS_AB])
+_GAMMA_SIGNS = np.array([1, 1, 1, 1, -1, 1] + [1, -1, 1] * 3)[:, None, None]
+_BASES = np.stack([_PAULI15, _PAULI15 * _GAMMA_SIGNS]) / 4.0
 
 _HADAMARD4 = 0.5 * np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
@@ -62,16 +68,6 @@ _BOB_GRID = np.stack([np.sqrt(1 - _Z**2) * np.cos(_PHI), np.sqrt(1 - _Z**2) * np
 # ---------------------------------------------------------------------------
 # product-state bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def qubit_from_bloch(direction):
-    """Pure qubit state with the given unit Bloch vector."""
-    x, y, z = direction
-    theta = math.acos(min(1.0, max(-1.0, z)))
-    phi = math.atan2(y, x)
-    return np.array(
-        [math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex
-    )
 
 
 def product_vector(qubit_a, qubit_b):
@@ -226,6 +222,11 @@ def product_decomposition(rho):
 # ---------------------------------------------------------------------------
 
 
+def _ln_divided(x, y):
+    """ln[x, y] = (ln y - ln x) / (y - x) for x <= y, free of cancellation when they are close."""
+    return np.where(y > x, np.log1p((y - x) / x) / np.where(y > x, y - x, 1.0), 1.0 / x)
+
+
 class _Objective:
     """S(W || rho) in bits as a function of rho.
 
@@ -250,15 +251,9 @@ class _Objective:
 
     @staticmethod
     def _log_kernel(ev):
-        diff = ev[:, None] - ev[None, :]
-        near = np.abs(diff) < 1e-12 * ev.max()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kernel = np.where(
-                near,
-                2.0 / (ev[:, None] + ev[None, :]),
-                (np.log(ev)[:, None] - np.log(ev)[None, :]) / np.where(near, 1.0, diff),
-            )
-        return kernel
+        """First divided differences K[i, j] = ln[ev_i, ev_j]."""
+        lo, hi = np.minimum(ev[:, None], ev[None, :]), np.maximum(ev[:, None], ev[None, :])
+        return _ln_divided(lo, hi)
 
     def value_and_score_matrix(self, rho):
         """Objective, plus Hermitian L with d/dt Tr[W ln(rho + tD)]|_0 = Tr[D L].
@@ -287,28 +282,26 @@ class _Objective:
         a, b, c = np.moveaxis(np.sort(np.stack(np.broadcast_arrays(
             ev[:, None, None], ev[None, :, None], ev[None, None, :]), axis=-1)), -1, 0)
 
-        def ln1(x, y):  # ln[x, y] for x <= y, free of cancellation when they are close
-            return np.where(y > x, np.log1p((y - x) / x) / np.where(y > x, y - x, 1.0), 1.0 / x)
-
         near = c - a <= 1e-5 * c
         spread = np.where(near, -1.0, a - c)
-        return np.where(near, -4.5 / (a + b + c) ** 2, (ln1(a, b) - ln1(b, c)) / spread)
+        return np.where(near, -4.5 / (a + b + c) ** 2,
+                        (_ln_divided(a, b) - _ln_divided(b, c)) / spread)
 
-    def newton_data(self, rho, vectors):
-        """Value, gradient and Hessian of f(w) = S(W || sum_a w_a P_a), P_a = |v_a><v_a|.
+    def pauli_newton_data(self, rho):
+        """Value, gradient and Hessian of f(x) = S(W || rho) in the coordinates rho = I/4 +
+        sum_k x_k P_k / 4.
 
-        g_a = -<v_a|L|v_a> / ln 2 and H_ab = -(2 / ln 2) Re sum_ikj wt_ji F_ikj
-        (P_a)_ik (P_b)_kj in the eigenbasis U of rho, with wt = U^dagger W U.
+        With D_k = U^dagger P_k U / 4 in the eigenbasis U of rho and wt = U^dagger W U:
+        g_k = -Tr[D_k (K o wt)] / ln 2 with K the first divided differences of ln, and
+        H_jk = -(2 / ln 2) Re sum_iml wt_li F_iml (D_j)_im (D_k)_ml with F the second ones.
         """
         ev, vec, _ = self._decompose(rho)
         wt = vec.conj().T @ self.w @ vec
         value = self.const - float(np.clip(np.diag(wt).real, 0.0, None) @ np.log2(ev))
-        u = vectors @ vec.conj()
-        grad = -np.einsum("ai,ij,aj->a", u.conj(), self._log_kernel(ev) * wt, u).real / LN2
-        x = (u @ (self._log_kernel2(ev) * wt.T[:, None, :]).reshape(4, 16)).reshape(-1, 4, 4)
-        y = (x * u.conj()[:, :, None]).reshape(len(u), 16)
-        z = (u[:, :, None] * u.conj()[:, None, :]).reshape(len(u), 16)
-        hess = -(2.0 / LN2) * (y @ z.T).real
+        d = vec.conj().T @ _BASES[0] @ vec
+        grad = -np.einsum("kij,ji->k", d, self._log_kernel(ev) * wt).real / LN2
+        x = np.einsum("jim,iml->jml", d, self._log_kernel2(ev) * wt.T[:, None, :])
+        hess = -(2.0 / LN2) * np.einsum("jml,kml->jk", x, d).real
         return value, grad, (hess + hess.T) / 2.0
 
 
@@ -330,11 +323,11 @@ def _bob_scores(beta, r, s, t):
     return beta @ s + np.linalg.norm(r[None, :] + beta @ t.T, axis=1)
 
 
-def _best_product_score(l_mat, rng, extra_bloch=None):
-    """Maximize <ab| L |ab> over product states by an ascent on Bob's direction beta.
+def _best_product_score(l_mat, rng):
+    """Max of <ab| L |ab> over product states, by an ascent on Bob's direction beta.
 
     Alice's best direction is along r + T beta.  Starts: the best GRID_STARTS directions of
-    a fixed grid, two seeded random ones and the previous winner.  Each step keeps the better
+    a fixed grid and two seeded random ones.  Each step keeps the better
     of a Riemannian Newton point and an alternating update (exact per half-step, so no score
     falls, but alone it crawls where singular values of T nearly tie) and the ascent stops
     once the best score stops rising.  A heuristic: its gaps are audited, not proved.
@@ -344,7 +337,7 @@ def _best_product_score(l_mat, rng, extra_bloch=None):
     beta = np.vstack([
         _BOB_GRID[np.argpartition(_bob_scores(_BOB_GRID, r, s, t), -GRID_STARTS)[-GRID_STARTS:]],
         raw / np.linalg.norm(raw, axis=1, keepdims=True),
-    ] + ([] if extra_bloch is None else [extra_bloch]))
+    ])
     ttt, top = t.T @ t, -math.inf
     for _ in range(ASCENT_STEPS):
         cand = r[None, :] + beta @ t.T
@@ -374,41 +367,7 @@ def _best_product_score(l_mat, rng, extra_bloch=None):
 
     alpha = _unit_rows(r[None, :] + beta @ t.T, beta)
     scores = 0.25 * (t0 + alpha @ r + beta @ s + np.einsum("ij,jk,ik->i", alpha, t, beta))
-    best = int(np.argmax(scores))
-    return float(scores[best]), alpha[best], beta[best]
-
-
-# ---------------------------------------------------------------------------
-# seeds
-# ---------------------------------------------------------------------------
-
-
-def _tetra_seed():
-    """Sixteen tetrahedral product states mixing exactly to I/4."""
-    qubits = [qubit_from_bloch(d) for d in _TETRA]
-    return np.stack([product_vector(qa, qb) for qa in qubits for qb in qubits]), np.full(16, 1 / 16)
-
-
-def _marginal_seed(w):
-    """Product mixture reconstructing (I/2) x Tr_A W exactly."""
-    evals, evecs = np.linalg.eigh(partial_trace(w, over="A"))
-    keep = [i for i in range(2) if evals[i] >= 1e-14]
-    vectors = [product_vector(qa, evecs[:, i]) for qa in np.eye(2, dtype=complex) for i in keep]
-    weights = np.array([0.5 * evals[i] for _ in range(2) for i in keep])
-    return np.stack(vectors), weights / weights.sum()
-
-
-def _schmidt_seed(w):
-    """Schmidt terms of a pure w at their squared coefficients: the closest
-    separable state (Vedral & Plenio, PRA 57, 1619, 1998)."""
-    u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
-    return np.stack([product_vector(u[:, j], vh[j]) for j in range(2)]), sv**2 / (sv**2).sum()
-
-
-def _random_seed(rng, k):
-    raw = rng.standard_normal((k, 2, 2)) + 1j * rng.standard_normal((k, 2, 2))
-    vectors = [product_vector(qa / np.linalg.norm(qa), qb / np.linalg.norm(qb)) for qa, qb in raw]
-    return np.stack(vectors), rng.dirichlet(np.ones(k))
+    return float(scores.max())
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +377,25 @@ def _random_seed(rng, k):
 
 @dataclass(frozen=True)
 class ErConfig:
+    """Settings of er_numeric.
+
+    seed drives the random starts of the product-state search behind the gap,
+    max_iter caps the Newton steps and gap_tol is the certificate required.
+    starts is ignored: the barrier solve has one start.
+    """
+
     starts: int = 12
     seed: int = 0
     max_iter: int = 1500
     gap_tol: float = 1e-5
+
+    def __post_init__(self):
+        for name in ("seed", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise OutOfRange(f"E_R {name} must be a nonnegative integer, got {value!r}")
+        if not (isinstance(self.gap_tol, numbers.Real) and 0.0 < self.gap_tol < math.inf):
+            raise OutOfRange(f"E_R gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -435,199 +409,107 @@ class ErEstimate:
     gap: float
 
 
-class _AtomMixture:
-    """Active product-state atoms with weights summing to one."""
-
-    def __init__(self, vectors, weights):
-        self.vectors = [np.asarray(v, dtype=complex) for v in vectors]
-        self.weights = [float(x) for x in weights]
-        self._projs = [np.outer(v, v.conj()) for v in self.vectors]
-
-    def rho(self):
-        return np.einsum("i,ijk->jk", self.weights, np.stack(self._projs)) / sum(self.weights)
-
-    def find_or_add(self, vec):  # a new atom enters at weight 0
-        for v in self.vectors:
-            if 1.0 - abs(np.vdot(v, vec)) ** 2 < ATOM_MERGE_TOL:
-                return
-        self.vectors.append(vec)
-        self.weights.append(0.0)
-        self._projs.append(np.outer(vec, vec.conj()))
-
-    def prune(self):
-        keep = [i for i, w in enumerate(self.weights) if w > 1e-14]
-        total = sum(self.weights[i] for i in keep)
-        self.vectors = [self.vectors[i] for i in keep]
-        self._projs = [self._projs[i] for i in keep]
-        self.weights = [self.weights[i] / total for i in keep]
+def _schmidt_mixture(w):
+    """Schmidt terms of a pure w at their squared coefficients: the closest
+    separable state (Vedral & Plenio, PRA 57, 1619, 1998)."""
+    u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
+    return np.stack([product_vector(u[:, j], vh[j]) for j in range(2)]), sv**2 / (sv**2).sum()
 
 
-def _optimize_weights(objective, mixture):
-    """Minimize f(w) = S(W || sum_a w_a P_a) over the simplex by active-set Newton.
-
-    Free atoms: those with weight, plus the best atom if its gradient is below g . w (an atom
-    added at weight 0 is released by its negative multiplier).  Each step solves the KKT system
-    on them, or moves weight from the worst free atom to the best if that does not descend;
-    a weight that reaches zero is set exactly to zero, and Armijo backtracking uses values only.
-    Ends when the decrement -g . d is at most 1e-13 max(1, |f|).
-    """
-    projs, vectors = np.stack(mixture._projs), np.stack(mixture.vectors)
-    if len(vectors) == 1:
-        return
-    w = np.clip(np.asarray(mixture.weights, dtype=float), 0.0, 1.0)
-    w = w / w.sum()
-    value_before = objective.value(mixture.rho())
-
-    for _ in range(NEWTON_MAX_STEPS):
-        value, grad, hess = objective.newton_data(np.einsum("i,ijk->jk", w, projs), vectors)
-        best = int(np.argmin(grad))
-        free = w > 0.0
-        free[best] |= grad[best] < grad @ w
-        idx = np.flatnonzero(free)
-        n = len(idx)
-        # Jacobi scaling keeps the solve accurate when one atom's curvature dwarfs the rest;
-        # lstsq because H is singular once atoms are linearly dependent (always for k > 16)
-        scale = np.diag(hess)[idx]
-        scale = 1.0 / np.sqrt(np.where(scale > 0.0, scale, 1.0))
-        kkt = np.block([[hess[np.ix_(idx, idx)] * np.outer(scale, scale), scale[:, None]],
-                        [scale, 0.0]])
-        step = np.zeros_like(w)
-        step[idx] = np.linalg.lstsq(kkt, np.append(-grad[idx] * scale, 0.0))[0][:n] * scale
-        decrement = -float(grad @ step)
-        tol = 1e-13 * max(1.0, abs(value))
-        if abs(decrement) <= tol:
-            break
-        if decrement < 0.0 or np.any((step < 0.0) & (w <= 0.0)):
-            support = np.flatnonzero(w > 0.0)
-            worst = support[np.argmax(grad[support])]
-            step = np.zeros_like(w)
-            step[best], step[worst] = 1.0, -1.0
-            decrement = float(grad[worst] - grad[best])
-            if decrement <= tol:
-                break
-
-        shrink = np.flatnonzero(step < 0.0)
-        ratios = w[shrink] / -step[shrink]
-        t_block = float(np.min(ratios, initial=np.inf))
-        curvature = float(step @ hess @ step)
-        t = min(t_block, decrement / curvature if curvature > 0.0 else 1.0)
-        for _ in range(40):
-            trial = w + t * step
-            if t == t_block:
-                trial[shrink[ratios == t_block]] = 0.0
-            trial = np.clip(trial, 0.0, None)
-            trial /= trial.sum()
-            trial_value = objective.value(np.einsum("i,ijk->jk", trial, projs))
-            if trial_value <= value - 1e-4 * t * decrement:
-                break
-            t *= 0.5
-        else:
-            break
-        w = trial
-
-    start, mixture.weights = mixture.weights, [float(x) for x in w]
-    if not objective.value(mixture.rho()) < value_before:  # judged on the rho the caller sees
-        mixture.weights = start
+def _certify(objective, vectors, weights, rng, config, iterations):
+    """Estimate at an explicit product mixture, with its conditional-gradient gap."""
+    argmin = SeparableAnsatz(weights=weights, vectors=vectors)
+    value, l_mat, tr_rho_l = objective.value_and_score_matrix(argmin.state())
+    gap = max(_best_product_score(l_mat, rng) - tr_rho_l, 0.0) / LN2
+    return ErEstimate(max(value, 0.0), argmin, gap <= config.gap_tol, iterations, gap)
 
 
-def _run_descent(objective, mixture, rng, config):
-    """Fully-corrective conditional-gradient descent.
+def _sigmas(x):
+    """sigma and sigma^Gamma at Pauli coordinates x, stacked."""
+    return _MIXER + np.tensordot(x, _BASES, (0, 1))
 
-    Returns (value, converged, iterations, gap) with converged meaning the
-    final duality gap certifies the value within config.gap_tol.
-    """
-    value = objective.value(mixture.rho())
-    gap = prev_gap = math.inf
-    prev_bloch = None
-    stalls = 0
-    iterations = 0
-    for iterations in range(1, config.max_iter + 1):
-        value, l_mat, tr_rho_l = objective.value_and_score_matrix(mixture.rho())
-        score, alpha, beta = _best_product_score(l_mat, rng, extra_bloch=prev_bloch)
-        prev_bloch = beta
-        gap = max(score - tr_rho_l, 0.0) / LN2
-        if gap <= config.gap_tol:
-            return value, True, iterations, gap
 
-        new_vec = product_vector(qubit_from_bloch(alpha), qubit_from_bloch(beta))
-        mixture.find_or_add(new_vec)
-        _optimize_weights(objective, mixture)
-        mixture.prune()
+def _barrier_data(x, t, objective):
+    """Value, gradient and Hessian of t f(x) - ln det sigma - ln det sigma^Gamma at x."""
+    sigmas = _sigmas(x)
+    value, grad, hess = objective.pauli_newton_data(sigmas[0])
+    inv_bases = np.linalg.inv(sigmas)[:, None] @ _BASES  # sigma^-1 P_k / 4 in both blocks
+    value = t * value - float(np.log(np.linalg.eigvalsh(sigmas)).sum())
+    grad = t * grad - np.einsum("gkii->k", inv_bases).real
+    hess = t * hess + np.einsum("gjab,gkba->jk", inv_bases, inv_bases).real
+    return value, grad, hess
 
-        new_value = objective.value(mixture.rho())
-        stalls = stalls + 1 if value - new_value < STALL_TOL and gap > 0.5 * prev_gap else 0
-        prev_gap = gap
-        value = min(value, new_value)
-        if stalls >= 2:
-            return value, gap <= config.gap_tol, iterations, gap
-    return value, False, iterations, gap
+
+def _barrier_value(x, t, objective):
+    """t f(x) - ln det sigma - ln det sigma^Gamma, or inf unless both spectra stay above
+    EIGEN_KEEP_TOL (inside the PPT interior, and not singular to roundoff)."""
+    sigmas = _sigmas(x)
+    if not np.isfinite(sigmas).all():
+        return math.inf
+    ev = np.linalg.eigvalsh(sigmas)
+    if not ev.min() > EIGEN_KEEP_TOL:
+        return math.inf
+    return t * objective.value(sigmas[0]) - float(np.log(ev).sum())
 
 
 def er_numeric(w, config=None):
     """Upper bound on the relative entropy of entanglement of w, in bits.
 
-    Descends from several seed mixtures: the exact product decomposition
-    when w is PPT, the Schmidt terms when w is pure and entangled, a
-    maximally mixed product frame, the product form of
-    (I/2) x Tr_A W, and seeded random mixtures up to config.starts.  The
-    first run gets the full iteration budget; the remaining seeds are
-    explored only as far as needed to guarantee the result is no worse
-    than any of them.  Deterministic for a fixed config.
+    PPT states exit at their exact product decomposition and pure states at
+    their Schmidt terms (one iteration).  Otherwise a path-following barrier
+    method minimizes t S(W || sigma) - ln det sigma - ln det sigma^Gamma over
+    the Pauli coordinates of sigma, starting from sigma = I/4 and t =
+    BARRIER_START and multiplying t by BARRIER_GROWTH after each centering;
+    every Newton step is one iteration against config.max_iter.  Once
+    BARRIER_NU / t <= gap_tol / BARRIER_GROWTH, each centered sigma is
+    written as <= 4 product states, and the solve returns as soon as the
+    conditional-gradient gap at that mixture is <= gap_tol.  It also ends
+    when the budget is spent or no Newton step descends (the roundoff floor),
+    unconverged unless that gap certifies.  value is S(W || argmin.state()).
+    Deterministic for a fixed config.
     """
     config = config or ErConfig()
     w = validate_state(w)
     objective = _Objective(w)
     rng = np.random.default_rng(config.seed)
 
-    ppt = is_ppt(w)
-    seeds = [product_decomposition(w)] if ppt else []
-    if not ppt and np.linalg.eigvalsh(w)[-2] <= EIGEN_KEEP_TOL:
-        seeds.append(_schmidt_seed(w))
-    seeds += [_tetra_seed(), _marginal_seed(w)]
-    while len(seeds) < config.starts:
-        seeds.append(_random_seed(rng, RANDOM_SEED_ATOMS))
+    iterations = 0
+    if is_ppt(w):
+        vectors, weights = product_decomposition(w)
+        argmin = SeparableAnsatz(weights=weights, vectors=vectors)
+        value = max(objective.value(argmin.state()), 0.0)
+        if value <= PPT_EXIT_TOL:
+            return ErEstimate(value, argmin, True, 0, value)
+    elif config.max_iter > 0 and np.linalg.eigvalsh(w)[-2] <= EIGEN_KEEP_TOL:
+        iterations = 1
+        estimate = _certify(objective, *_schmidt_mixture(w), rng, config, iterations)
+        if estimate.converged:
+            return estimate
 
-    start_vals = [objective.value(_AtomMixture(v, x).rho()) for v, x in seeds]
-
-    if ppt and start_vals[0] <= PPT_EXIT_TOL:
-        vectors, weights = seeds[0]
-        return ErEstimate(
-            value=max(start_vals[0], 0.0),
-            argmin=SeparableAnsatz(weights=weights, vectors=vectors),
-            converged=True,
-            iterations=0,
-            gap=max(start_vals[0], 0.0),
-        )
-
-    order = sorted(range(len(seeds)), key=lambda i: (start_vals[i], i))
-    short = replace(config, max_iter=min(config.max_iter, max(20, config.max_iter // 8)))
-
-    best_value, best_mixture, best_conv, best_gap = math.inf, None, False, math.inf
-    total_iterations = 0
-    for pos, i in enumerate(order):
-        if pos > 0 and best_conv and best_value <= start_vals[i] + 1e-12:
-            # nothing seeded here can beat a certified optimum
-            continue
-        mixture = _AtomMixture(*seeds[i])
-        value, conv, iters, gap = _run_descent(
-            objective, mixture, rng, config if pos == 0 else short
-        )
-        total_iterations += iters
-        if value < best_value:
-            best_value, best_mixture, best_conv, best_gap = value, mixture, conv, gap
-
-    if not best_conv and best_mixture is not None:
-        value, conv, iters, gap = _run_descent(objective, best_mixture, rng, config)
-        total_iterations += iters
-        if value <= best_value:
-            best_value, best_conv, best_gap = value, conv, gap
-
-    return ErEstimate(
-        value=max(best_value, 0.0),
-        argmin=SeparableAnsatz(
-            weights=np.array(best_mixture.weights), vectors=np.stack(best_mixture.vectors)
-        ),
-        converged=best_conv,
-        iterations=total_iterations,
-        gap=best_gap,
-    )
+    x, t = np.zeros(15), BARRIER_START
+    value, grad, hess = _barrier_data(x, t, objective)
+    while iterations < config.max_iter:
+        step = np.linalg.solve(hess, -grad)
+        decrement = -float(grad @ step)
+        if not decrement > CENTERING_TOL * max(1.0, abs(value)):  # centered at this t
+            # one growth past the barrier's own bound BARRIER_NU / t <= gap_tol: the value then
+            # sits about gap_tol / BARRIER_GROWTH above E_R, and the gap is checked once
+            if BARRIER_NU / t <= config.gap_tol / BARRIER_GROWTH:
+                estimate = _certify(objective, *product_decomposition(_sigmas(x)[0]), rng,
+                                    config, iterations)
+                if estimate.converged:
+                    return estimate
+            t *= BARRIER_GROWTH
+            value, grad, hess = _barrier_data(x, t, objective)
+            step = np.linalg.solve(hess, -grad)
+            decrement = -float(grad @ step)
+        iterations += 1
+        # backtracking; a point outside the PPT interior has an infinite barrier value
+        for size in 0.5 ** np.arange(LINE_SEARCH_STEPS):
+            if _barrier_value(x + size * step, t, objective) <= value - 0.25 * size * decrement:
+                x = x + size * step
+                value, grad, hess = _barrier_data(x, t, objective)
+                break
+        else:  # no descent at the roundoff floor: no further step can move sigma
+            break
+    return _certify(objective, *product_decomposition(_sigmas(x)[0]), rng, config, iterations)

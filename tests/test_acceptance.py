@@ -34,8 +34,8 @@ from densecap.separable import ErConfig
 from densecap.states import projector
 from densecap.verify import format_sweep_csv, lemma_campaign, run_campaign, sweep_family
 
-ER_ACCEPT = ErConfig(starts=4, max_iter=800)
-ER_CAMPAIGN = ErConfig(starts=4, max_iter=600, gap_tol=1e-4)
+ER_ACCEPT = ErConfig(max_iter=800)
+ER_CAMPAIGN = ErConfig(max_iter=600, gap_tol=1e-4)
 
 
 def report(name, ok, detail=""):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import minimize
 
 import densecap.separable as separable
 from conftest import random_unitary
@@ -20,28 +19,28 @@ from densecap import (
     validate_state,
     werner,
 )
-from densecap.linalg import tensor
+from densecap.errors import OutOfRange
+from densecap.linalg import partial_transpose, tensor
 from densecap.separable import (
     LN2,
     ErConfig,
-    _AtomMixture,
-    _marginal_seed,
+    SeparableAnsatz,
+    _barrier_data,
     _Objective,
-    _optimize_weights,
     _pauli_data,
-    _tetra_seed,
+    _sigmas,
     product_decomposition,
     product_vector,
     takagi,
 )
 from densecap.verify import campaign_states
 
-FAST = ErConfig(starts=4, max_iter=400)
-E2E1 = ErConfig(starts=4, max_iter=600, gap_tol=1e-4)  # the acceptance campaign's config
+FAST = ErConfig(max_iter=400)
+E2E1 = ErConfig(max_iter=600, gap_tol=1e-4)  # the acceptance campaign's config
 
 
 def mixture_state(vectors, weights):
-    return _AtomMixture(vectors, weights).rho()
+    return SeparableAnsatz(weights=np.asarray(weights), vectors=np.asarray(vectors)).state()
 
 
 class TestTakagi:
@@ -97,22 +96,6 @@ class TestProductDecomposition:
         assert np.abs(mixture_state(vectors, weights) - rho).max() < 1e-10
 
 
-class TestSeeds:
-    def test_tetra_seed_is_maximally_mixed(self):
-        vectors, weights = _tetra_seed()
-        np.testing.assert_allclose(
-            mixture_state(vectors, weights), np.eye(4) / 4, atol=1e-14
-        )
-
-    def test_marginal_seed_matches_product_form(self):
-        from densecap.linalg import ID2, partial_trace
-
-        w = random_state(seed=61, rank=4)
-        vectors, weights = _marginal_seed(w)
-        expected = tensor(ID2 / 2, partial_trace(w, "A"))
-        np.testing.assert_allclose(mixture_state(vectors, weights), expected, atol=1e-12)
-
-
 class TestErNumeric:
     def test_ppt_states_give_zero(self):
         found = 0
@@ -151,13 +134,6 @@ class TestErNumeric:
         # the reported value is attained by the reported mixture
         assert abs(relative_entropy(lambda_b(0.7), rho) - estimate.value) < 1e-6
 
-    def test_never_worse_than_seed_points(self):
-        w = werner(0.8)
-        estimate = er_numeric(w, FAST)
-        for vectors, weights in (_tetra_seed(), _marginal_seed(w)):
-            seed_value = relative_entropy(w, mixture_state(vectors, weights))
-            assert estimate.value <= seed_value + 1e-9
-
     def test_deterministic_per_config(self):
         a = er_numeric(werner(0.7), FAST)
         b = er_numeric(werner(0.7), FAST)
@@ -177,7 +153,7 @@ class TestErNumeric:
     def test_nonnegative_and_converged_flag(self):
         estimate = er_numeric(lambda_a(0.05), FAST)
         assert estimate.value >= -1e-10
-        tight = er_numeric(werner(0.9), ErConfig(starts=3, max_iter=3, gap_tol=1e-14))
+        tight = er_numeric(werner(0.9), ErConfig(max_iter=3, gap_tol=1e-14))
         assert not tight.converged  # budget too small to certify
         assert tight.value >= er_closed_form("werner", [0.9]) - 1e-9
 
@@ -185,6 +161,15 @@ class TestErNumeric:
         estimate = er_numeric(werner(0.9), ErConfig(max_iter=0))
         assert estimate.iterations == 0
         assert not estimate.converged
+
+    @pytest.mark.parametrize("field,value", [
+        ("seed", -1), ("seed", 1.5), ("seed", "0"),
+        ("gap_tol", float("nan")), ("gap_tol", -1.0), ("gap_tol", 0.0), ("gap_tol", float("inf")),
+        ("max_iter", -1), ("max_iter", 2.5),
+    ])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(OutOfRange):
+            ErConfig(**{field: value})
 
     @pytest.mark.parametrize("family,builder", [
         ("lambda_a", lambda_a),
@@ -195,14 +180,16 @@ class TestErNumeric:
         for param in np.arange(0.0, 1.0001, 0.05):
             param = min(float(param), 1.0)
             estimate = er_numeric(builder(param), FAST)
-            assert abs(estimate.value - er_closed_form(family, [param])) < 1e-3
+            closed = er_closed_form(family, [param])
+            assert closed - 1e-9 <= estimate.value <= closed + FAST.gap_tol, (param, estimate)
 
     def test_bell_diagonal_grid_matches_closed_form(self):
         rng = np.random.default_rng(63)
         for _ in range(10):
             weights = rng.dirichlet(np.ones(4))
             estimate = er_numeric(bell_diagonal(weights), FAST)
-            assert abs(estimate.value - er_closed_form("bell_diagonal", weights)) < 1e-3
+            closed = er_closed_form("bell_diagonal", weights)
+            assert closed - 1e-9 <= estimate.value <= closed + FAST.gap_tol, (weights, estimate)
 
     def test_bounded_by_formation_on_entangled_states(self):
         from densecap import entanglement_of_formation
@@ -224,99 +211,78 @@ def random_product_vectors(rng, k):
     return np.stack([product_vector(a / np.linalg.norm(a), b / np.linalg.norm(b)) for a, b in raw])
 
 
-def slsqp_weights(objective, projs, start):
-    """Reference reweighting: SLSQP on the simplex, the solver the Newton method replaced."""
-    k = len(start)
-
-    def fun(w):
-        value, l_mat, _ = objective.value_and_score_matrix(np.einsum("i,ijk->jk", w, projs))
-        return value, -np.einsum("ajk,kj->a", projs, l_mat).real / LN2
-
-    result = minimize(
-        fun, start, jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * k,
-        constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0, "jac": lambda w: np.ones(k)}],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    w = np.clip(result.x, 0.0, None)
-    return objective.value(np.einsum("i,ijk->jk", w / w.sum(), projs))
+def interior_point(rng, k=6):
+    """Pauli coordinates of a random mixture of k product states: sigma and sigma^Gamma > 0."""
+    sigma = mixture_state(random_product_vectors(rng, k), rng.dirichlet(np.ones(k)))
+    return np.array([np.trace(sigma @ p).real for p in 4 * separable._BASES[0]])
 
 
-class TestNewtonReweighting:
+class TestPauliDerivatives:
     @staticmethod
-    def assert_matches_central_differences(w_state, vectors, weights, h):
-        objective = _Objective(w_state)
-        projs = np.einsum("ai,aj->aij", vectors, vectors.conj())
-
-        def rho(x):
-            return np.einsum("a,aij->ij", x, projs)
-
-        value, grad, hess = objective.newton_data(rho(weights), vectors)
-        assert value == pytest.approx(objective.value(rho(weights)), abs=1e-12)
+    def assert_matches_central_differences(fun, x, h):
+        value, grad, hess = fun(x)
         fd_grad, fd_hess = np.zeros_like(grad), np.zeros_like(hess)
-        for a in range(len(weights)):
-            e = np.zeros(len(weights))
-            e[a] = h
-            fd_grad[a] = (objective.value(rho(weights + e)) - objective.value(rho(weights - e))) / (2 * h)
-            fd_hess[a] = (
-                objective.newton_data(rho(weights + e), vectors)[1]
-                - objective.newton_data(rho(weights - e), vectors)[1]
-            ) / (2 * h)
+        for k in range(len(x)):
+            e = np.zeros(len(x))
+            e[k] = h
+            fd_grad[k] = (fun(x + e)[0] - fun(x - e)[0]) / (2 * h)
+            fd_hess[k] = (fun(x + e)[1] - fun(x - e)[1]) / (2 * h)
         assert np.abs(grad - fd_grad).max() <= 1e-7 * np.abs(grad).max()
         assert np.abs(hess - fd_hess).max() <= 1e-7 * np.abs(hess).max()
 
-    def test_derivatives_on_distinct_spectra(self):
+    def test_second_block_is_the_partial_transpose(self):
+        x = interior_point(np.random.default_rng(69))
+        sigma, sigma_gamma = _sigmas(x)
+        assert np.abs(sigma_gamma - partial_transpose(sigma)).max() < 1e-15
+        assert np.linalg.eigvalsh(sigma_gamma).min() > 0.0
+
+    def test_objective_on_distinct_spectra(self):
         rng = np.random.default_rng(70)
         for rank in (1, 2, 3, 4):
-            vectors = random_product_vectors(rng, 8)
+            objective = _Objective(random_state(seed=(70, rank), rank=rank))
+            x = interior_point(rng)
+            value, _, _ = objective.pauli_newton_data(_sigmas(x)[0])
+            assert value == pytest.approx(objective.value(_sigmas(x)[0]), abs=1e-12)
             self.assert_matches_central_differences(
-                random_state(seed=(70, rank), rank=rank), vectors, rng.dirichlet(np.ones(8)), 1e-6
+                lambda y: objective.pauli_newton_data(_sigmas(y)[0]), x, 1e-6
             )
 
-    def test_derivatives_on_degenerate_spectra(self):
-        # the tetrahedral frame mixes to I/4: every triple of eigenvalues coincides
-        vectors, weights = _tetra_seed()
-        self.assert_matches_central_differences(werner(0.75), vectors, weights, 1e-5)
-        # two atoms span a plane: rho has a doubly degenerate (regularized) kernel, so
-        # triples with two and with three equal eigenvalues both occur
-        vectors = random_product_vectors(np.random.default_rng(71), 2)
-        psi = vectors[0] + 0.6 * vectors[1]
-        w_state = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
-        spectrum = np.linalg.eigvalsh(np.einsum("a,ai,aj->ij", [0.3, 0.7], vectors, vectors.conj()))
-        assert np.abs(spectrum[:2]).max() < 1e-14
-        self.assert_matches_central_differences(w_state, vectors, np.array([0.3, 0.7]), 1e-6)
+    def test_objective_on_degenerate_spectra(self):
+        # I/4: every triple of eigenvalues coincides; diag(.4, .1, .1, .4): pairs coincide;
+        # .7 I/4 + .3 |00><00|: a threefold eigenvalue beside a single one
+        x_pairs = np.zeros(15)
+        x_pairs[14] = 0.6  # 4 diag(.4, .1, .1, .4) = I + .6 Z x Z
+        x_triple = np.zeros(15)
+        x_triple[[2, 5, 14]] = 0.3  # I + .3 (Z x I + I x Z + Z x Z)
+        for x in (np.zeros(15), x_pairs, x_triple):
+            for rank in (1, 4):
+                objective = _Objective(random_state(seed=(71, rank), rank=rank))
+                self.assert_matches_central_differences(
+                    lambda y: objective.pauli_newton_data(_sigmas(y)[0]), x, 1e-5
+                )
 
+    @pytest.mark.parametrize("t", [0.0, 1e3])
+    def test_barrier(self, t):
+        rng = np.random.default_rng(72)
+        objective = _Objective(random_state(seed=72, rank=2))
+        for x in (np.zeros(15), interior_point(rng), interior_point(rng)):
+            self.assert_matches_central_differences(
+                lambda y: _barrier_data(y, t, objective), x, 1e-6
+            )
+
+
+class TestErNumericProperties:
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        rank=st.integers(1, 4),
-        k=st.integers(2, 20),
-        duplicates=st.integers(0, 3),
-        zeros=st.integers(0, 2),
-    )
-    def test_weights_stay_feasible_and_match_slsqp(self, seed, rank, k, duplicates, zeros):
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), k=st.integers(2, 20))
+    def test_never_above_a_product_mixture(self, seed, rank, k):
         rng = np.random.default_rng(seed)
-        vectors = random_product_vectors(rng, k)
-        vectors[: min(duplicates, k - 1)] = vectors[-1]
-        # W lives in the span of the atoms: outside it the objective rests on the REG_EPS
-        # floor, where eigenvalue roundoff moves it by ~1e-6 and no solver can be compared
-        mixed = (rng.standard_normal((rank, k)) + 1j * rng.standard_normal((rank, k))) @ vectors
-        mixed /= np.linalg.norm(mixed, axis=1, keepdims=True)
-        w_state = np.einsum("j,ja,jb->ab", rng.dirichlet(np.ones(rank)), mixed, mixed.conj())
-        weights = rng.dirichlet(np.ones(k))
-        weights[: min(zeros, k - 1)] = 0.0  # atoms entering at weight 0
-        weights /= weights.sum()
-        objective = _Objective(w_state)
-        mixture = _AtomMixture(vectors, weights)
-        before = objective.value(mixture.rho())
-        reference = min(before, slsqp_weights(objective, np.stack(mixture._projs), weights))
-
-        _optimize_weights(objective, mixture)
-        after = objective.value(mixture.rho())
-        new_weights = np.array(mixture.weights)
-        assert np.all(new_weights >= 0.0)
-        assert abs(new_weights.sum() - 1.0) < 1e-12
-        assert after <= before
-        assert after <= reference + 1e-12
+        w_state = random_state(seed=seed, rank=rank)
+        sigma = mixture_state(random_product_vectors(rng, k), rng.dirichlet(np.ones(k)))
+        estimate = er_numeric(w_state)
+        assert estimate.value <= relative_entropy(w_state, sigma) + 1e-12
+        assert estimate.argmin.k <= 4
+        assert np.all(estimate.argmin.weights >= 0.0)
+        assert abs(estimate.argmin.weights.sum() - 1.0) < 1e-12
 
 
 def grid_gap(w_state, estimate, points=100_000):

@@ -25,7 +25,7 @@ from densecap.verify import (
     lemma_campaign,
 )
 
-FAST_ER = ErConfig(starts=4, max_iter=400, gap_tol=1e-4)
+FAST_ER = ErConfig(max_iter=400, gap_tol=1e-4)
 
 
 def run_cli(*args):
@@ -190,7 +190,7 @@ class TestCli:
         assert 0 < doc["capacity_bits"] < 2
 
     def test_measures(self):
-        proc = run_cli("measures", "--state", "werner:0.75", "--er-starts", "4")
+        proc = run_cli("measures", "--state", "werner:0.75")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert abs(doc["e_r_closed"] - er_closed_form("werner", [0.75])) < 1e-12
@@ -199,16 +199,14 @@ class TestCli:
         assert doc["ppt"] is False
 
     def test_verify_single_state(self):
-        proc = run_cli("verify", "--state", "lambda_b:0.5", "--er-starts", "4")
+        proc = run_cli("verify", "--state", "lambda_b:0.5")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["passed"] is True
         assert doc["flags"]["er_conjecture_ok"] is True
 
     def test_measures_pure_schmidt_complex_params(self):
-        proc = run_cli(
-            "measures", "--state", "pure_schmidt:0.6,0.0,0.0,0.8", "--er-starts", "4"
-        )
+        proc = run_cli("measures", "--state", "pure_schmidt:0.6,0.0,0.0,0.8")
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert abs(doc["e_r_closed"] - er_closed_form("pure_schmidt", [0.36])) < 1e-12
@@ -219,13 +217,13 @@ class TestCli:
         rho = random_state(seed=123, rank=4)
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state_to_json_dict(rho)))
-        proc = run_cli("verify", "--state", str(path), "--er-starts", "4")
+        proc = run_cli("verify", "--state", str(path))
         assert proc.returncode == 0, proc.stderr
         doc = json.loads(proc.stdout)
         assert doc["descriptor"] == {"family": "explicit"}
 
     def test_verify_random_campaign(self):
-        proc = run_cli("verify", "--random", "4", "--seed", "11", "--er-starts", "4")
+        proc = run_cli("verify", "--random", "4", "--seed", "11")
         assert proc.returncode == 0
         doc = json.loads(proc.stdout)
         assert doc["summary"]["all_passed"] is True
@@ -250,20 +248,21 @@ class TestCli:
 
     def test_bad_state_argument(self, tmp_path):
         cases = [
-            ["--state", state]
+            ["capacity", "--state", state]
             for state in (
                 "nonsense", "werner:abc", "werner:0.5,0.3", "lambda_a:", "foo:0.5",
                 "pure_schmidt:0.8,0.7",
             )
         ]
         for probs in ("a,b,c,d", "nan,0,0,1"):
-            cases.append(["--state", "werner:0.75", "--mode", "gdc", "--probs", probs])
+            cases.append(["capacity", "--state", "werner:0.75", "--mode", "gdc", "--probs", probs])
         for i, text in enumerate(("not json", "[0.75]", '{"family": "explicit", "params": []}')):
             path = tmp_path / f"state{i}.json"
             path.write_text(text)
-            cases.append(["--state", str(path)])
+            cases.append(["capacity", "--state", str(path)])
+        cases.append(["measures", "--state", "werner:0.75", "--er-seed", "-1"])
         for args in cases:
-            proc = run_cli("capacity", *args)
+            proc = run_cli(*args)
             assert proc.returncode == 1, args
             assert proc.stderr.startswith("error: "), (args, proc.stderr)
             assert "Traceback" not in proc.stderr, args
@@ -274,8 +273,7 @@ class TestCli:
         env = dict(os.environ)
         env["DENSECAP_TOL"] = "1e-2"
         proc = subprocess.run(
-            [sys.executable, "-m", "densecap", "verify", "--state", "werner:0.75",
-             "--er-starts", "4"],
+            [sys.executable, "-m", "densecap", "verify", "--state", "werner:0.75"],
             capture_output=True, text=True, env=env,
         )
         doc = json.loads(proc.stdout)
@@ -286,6 +284,6 @@ class TestCli:
         monkeypatch.setenv("DENSECAP_TOL", value)
         with pytest.raises(OutOfRange):
             default_tolerances()
-        proc = run_cli("verify", "--state", "werner:0.75", "--er-starts", "1")
+        proc = run_cli("verify", "--state", "werner:0.75")
         assert proc.returncode != 0
         assert proc.stderr.startswith("error: DENSECAP_TOL")
