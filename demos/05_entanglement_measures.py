@@ -1,9 +1,10 @@
 """The entanglement measures side by side, closed forms against the minimizer.
 
 E_F comes from the concurrence closed form; E_R from minimizing relative
-entropy over mixtures of product states.  The minimizer only ever returns
-certified upper bounds, so its output can be trusted to sit on or above
-the closed forms.
+entropy over the separable states.  The minimizer returns a proved
+interval [lower, value]: value is attained by a mixture of product states,
+and lower comes from the barrier solve's dual, so the closed form must sit
+inside it.  The last column is the interval's width, value - lower.
 """
 from densecap import (
     bell_diagonal,
@@ -19,7 +20,7 @@ from densecap.separable import ErConfig
 
 config = ErConfig(max_iter=600)
 
-print("state              concurrence   E_F        E_R closed   E_R numeric   gap cert")
+print("state              concurrence   E_F        E_R closed   E_R numeric   proved width")
 for label, rho, family, params in (
     ("werner(0.40)", werner(0.40), "werner", [0.40]),
     ("werner(0.75)", werner(0.75), "werner", [0.75]),

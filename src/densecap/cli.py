@@ -20,7 +20,7 @@ from .densecoding import (
     sdc_letters,
 )
 from .entanglement import concurrence, entanglement_of_formation, er_closed_form, is_ppt
-from .separable import ErConfig, er_numeric
+from .separable import er_numeric
 from .states import FAMILIES, state_from_json_dict
 from .errors import DensecapError, InvalidState
 from .verify import (
@@ -91,11 +91,11 @@ def cmd_capacity(args):
 
 def cmd_measures(args):
     rho, family, params = parse_state_arg(args.state)
-    config = ErConfig(seed=args.er_seed)
-    estimate = er_numeric(rho, config)
+    estimate = er_numeric(rho)
     payload = {
         "e_f": entanglement_of_formation(rho),
         "e_r_numeric": estimate.value,
+        "e_r_numeric_lower": estimate.lower,
         "e_r_numeric_converged": estimate.converged,
         "concurrence": concurrence(rho),
         "ppt": is_ppt(rho),
@@ -107,18 +107,15 @@ def cmd_measures(args):
 
 
 def cmd_verify(args):
-    er_config = ErConfig(seed=args.er_seed)
     if args.state:
         rho, family, params = parse_state_arg(args.state)
-        report = check_bounds(rho, family=family, params=params, er_config=er_config)
+        report = check_bounds(rho, family=family, params=params)
         _emit(report.to_dict())
         return 0 if report.passed else 1
     if args.random is None:
         raise SystemExit("verify needs --state or --random N")
     ranks = (args.rank,) if args.rank else (1, 2, 3, 4)
-    summary, reports = run_campaign(
-        args.random, seed=args.seed, ranks=ranks, er_config=er_config
-    )
+    summary, reports = run_campaign(args.random, seed=args.seed, ranks=ranks)
     payload = {
         "summary": summary,
         "reports": [r.to_dict() for r in reports],
@@ -155,7 +152,6 @@ def build_parser():
 
     p = sub.add_parser("measures", help="entanglement measures of a state")
     p.add_argument("--state", required=True)
-    p.add_argument("--er-seed", type=int, default=0)
     p.set_defaults(func=cmd_measures)
 
     p = sub.add_parser("verify", help="bounds report for a state or a random campaign")
@@ -163,7 +159,6 @@ def build_parser():
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank", type=int, choices=(1, 2, 3, 4))
-    p.add_argument("--er-seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="closed-form capacity/E_R sweep to CSV")

@@ -1,4 +1,4 @@
-"""Relative entropy of entanglement by minimization over separable states.
+"""Relative entropy of entanglement as a proved interval [lower, value].
 
 For two qubits the separable states are exactly the PPT states (Horodecki,
 Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
@@ -6,14 +6,12 @@ Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
 coordinates of sigma, solved by a path-following log-det barrier method
 with Newton centering steps.  The final sigma is written as <= 4 product
 pure states (a SeparableAnsatz, by the spin-flip/Takagi construction); the
-value at that explicit mixture is an upper bound on E_R, and its
-conditional-gradient gap (a Newton ascent over Bob's Bloch direction from
-the best points of a fixed grid) bounds the distance to the minimum as far
-as that product-state search is exact, which is audited on dense sphere
-grids, not proved.
+value at that explicit mixture is an upper bound on E_R.  The lower bound
+comes from the barrier's own dual matrix at the same point, by convexity
+(see _certify), so no search over product states is needed.
 
-PPT states exit at their exact product decomposition, pure states at their
-Schmidt terms.
+PPT states exit at their exact product decomposition (lower bound 0), pure
+states at their Schmidt terms (lower bound S(rho_B), which is E_R there).
 """
 
 import math
@@ -27,15 +25,16 @@ from scipy.optimize import brentq, minimize  # noqa: F401
 from .entanglement import is_ppt
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
-from .linalg import ID2, PAULIS, SIGMA_Y, tensor
-from .states import validate_state
+from .linalg import ID2, PAULIS, SIGMA_Y, partial_transpose, tensor
+from .states import validate_state, xlog2x
 
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
 PPT_EXIT_TOL = 1e-9      # PPT states whose exact decomposition scores below this exit at once
-GRID_STARTS = 24         # best grid directions the product-state ascent starts from
-ASCENT_STEPS = 12        # steps of that ascent
+SCHMIDT_ROUNDOFF = 1e-13  # roundoff margin of the pure-state exit's lower bound (see er_numeric)
+DUAL_STEPS = 48          # doubling and bisection steps for the dual multiplier s (see _certify)
+DUAL_ROUNDOFF = 1e-13    # roundoff margin of the dual bound, per unit of the matrices' entries
 BARRIER_START = 1.0      # weight t of the objective against the barrier at the first centering
 BARRIER_GROWTH = 30.0    # factor on t after each centering
 BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER_NU / t of E_R
@@ -44,25 +43,16 @@ LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of desce
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
 
-# stacked Pauli-product operators for reading off Bloch/correlation data
-_OPS_A = np.stack([tensor(p, ID2) for p in PAULIS])
-_OPS_B = np.stack([tensor(ID2, p) for p in PAULIS])
-_OPS_AB = np.stack([tensor(pm, pn) for pm in PAULIS for pn in PAULIS])
-
 # sigma = I/4 + sum_k x_k P_k / 4 over the 15 Pauli products (block 0), and its partial
 # transpose on B (block 1), where the terms with sigma_y on B change sign
-_PAULI15 = np.concatenate([_OPS_A, _OPS_B, _OPS_AB])
+_PAULI15 = np.stack([tensor(p, ID2) for p in PAULIS] + [tensor(ID2, p) for p in PAULIS]
+                    + [tensor(pm, pn) for pm in PAULIS for pn in PAULIS])
 _GAMMA_SIGNS = np.array([1, 1, 1, 1, -1, 1] + [1, -1, 1] * 3)[:, None, None]
 _BASES = np.stack([_PAULI15, _PAULI15 * _GAMMA_SIGNS]) / 4.0
 
 _HADAMARD4 = 0.5 * np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
 )
-
-
-# 400 Bob directions on the golden-angle (Fibonacci) spiral; the best seed the product-state ascent
-_Z, _PHI = 1.0 - (np.arange(400) + 0.5) / 200.0, math.pi * (3.0 - math.sqrt(5.0)) * np.arange(400)
-_BOB_GRID = np.stack([np.sqrt(1 - _Z**2) * np.cos(_PHI), np.sqrt(1 - _Z**2) * np.sin(_PHI), _Z], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +208,7 @@ def product_decomposition(rho):
 
 
 # ---------------------------------------------------------------------------
-# objective and conditional-gradient data
+# the objective and its derivatives
 # ---------------------------------------------------------------------------
 
 
@@ -256,21 +246,18 @@ class _Objective:
         return _ln_divided(lo, hi)
 
     def value_and_score_matrix(self, rho):
-        """Objective, plus Hermitian L with d/dt Tr[W ln(rho + tD)]|_0 = Tr[D L].
+        """Objective, plus Hermitian L with d/dt Tr[W ln(rho_reg + tD)]|_0 = Tr[D L].
 
-        The conditional-gradient direction maximizes Tr[P L] over product
-        projectors P, and (max Tr[P L] - Tr[rho L]) / ln 2 bounds the
-        distance of the current objective from the true minimum.
+        rho_reg = (rho + REG_EPS I/4) / (1 + REG_EPS), so the objective's gradient
+        matrix in rho is -L / ((1 + REG_EPS) ln 2).
         """
-        ev, vec, reg = self._decompose(rho)
+        ev, vec, _ = self._decompose(rho)
         wt = vec.conj().T @ self.w @ vec
         diag = np.clip(np.diag(wt).real, 0.0, None)
         value = self.const - float(diag @ np.log2(ev))
 
         l_mat = vec @ (self._log_kernel(ev) * wt) @ vec.conj().T
-        l_mat = (l_mat + l_mat.conj().T) / 2.0
-        tr_rho_l = float(np.einsum("ij,ji->", reg, l_mat).real)
-        return value, l_mat, tr_rho_l
+        return value, (l_mat + l_mat.conj().T) / 2.0
 
     @staticmethod
     def _log_kernel2(ev):
@@ -305,71 +292,6 @@ class _Objective:
         return value, grad, (hess + hess.T) / 2.0
 
 
-def _pauli_data(l_mat):
-    t0 = float(np.trace(l_mat).real)
-    r = np.einsum("ij,kji->k", l_mat, _OPS_A).real
-    s = np.einsum("ij,kji->k", l_mat, _OPS_B).real
-    t = np.einsum("ij,kji->k", l_mat, _OPS_AB).real.reshape(3, 3)
-    return t0, r, s, t
-
-
-def _unit_rows(cand, fallback):
-    norms = np.linalg.norm(cand, axis=1, keepdims=True)
-    return np.where(norms > 1e-14, cand / np.clip(norms, 1e-300, None), fallback)
-
-
-def _bob_scores(beta, r, s, t):
-    """s . beta + |r + T beta|: each Bob direction's score at its best Alice direction."""
-    return beta @ s + np.linalg.norm(r[None, :] + beta @ t.T, axis=1)
-
-
-def _best_product_score(l_mat, rng):
-    """Max of <ab| L |ab> over product states, by an ascent on Bob's direction beta.
-
-    Alice's best direction is along r + T beta.  Starts: the best GRID_STARTS directions of
-    a fixed grid and two seeded random ones.  Each step keeps the better
-    of a Riemannian Newton point and an alternating update (exact per half-step, so no score
-    falls, but alone it crawls where singular values of T nearly tie) and the ascent stops
-    once the best score stops rising.  A heuristic: its gaps are audited, not proved.
-    """
-    t0, r, s, t = _pauli_data(l_mat)
-    raw = rng.standard_normal((2, 3))
-    beta = np.vstack([
-        _BOB_GRID[np.argpartition(_bob_scores(_BOB_GRID, r, s, t), -GRID_STARTS)[-GRID_STARTS:]],
-        raw / np.linalg.norm(raw, axis=1, keepdims=True),
-    ])
-    ttt, top = t.T @ t, -math.inf
-    for _ in range(ASCENT_STEPS):
-        cand = r[None, :] + beta @ t.T
-        norm = np.clip(np.linalg.norm(cand, axis=1), 1e-300, None)
-        ta = (cand / norm[:, None]) @ t
-        grad = s[None, :] + ta
-        radial = np.einsum("mi,mi->m", beta, grad)
-        outer = beta[:, :, None] * beta[:, None, :]
-        proj = np.eye(3) - outer
-        curv = (ttt[None] - ta[:, :, None] * ta[:, None, :]) / norm[:, None, None]
-        # tangent-space Hessian, made invertible on the normal line by -beta beta^T
-        hess = proj @ curv @ proj - radial[:, None, None] * proj - outer
-        nxt = _unit_rows(s[None, :] + _unit_rows(cand, beta) @ t, beta)
-        scores = _bob_scores(nxt, r, s, t)
-        try:
-            tangent = np.linalg.solve(hess, (grad - radial[:, None] * beta)[..., None])[..., 0]
-            newton = _unit_rows(beta - tangent, beta)
-        except np.linalg.LinAlgError:  # singular tangent Hessian: alternating updates only
-            newton = nxt
-        newton_scores = _bob_scores(newton, r, s, t)
-        better = newton_scores >= scores
-        beta = np.where(better[:, None], newton, nxt)
-        scores = np.where(better, newton_scores, scores)
-        if scores.max() <= top + 1e-15 * max(1.0, abs(top)):
-            break
-        top = scores.max()
-
-    alpha = _unit_rows(r[None, :] + beta @ t.T, beta)
-    scores = 0.25 * (t0 + alpha @ r + beta @ s + np.einsum("ij,jk,ik->i", alpha, t, beta))
-    return float(scores.max())
-
-
 # ---------------------------------------------------------------------------
 # the minimizer
 # ---------------------------------------------------------------------------
@@ -379,34 +301,40 @@ def _best_product_score(l_mat, rng):
 class ErConfig:
     """Settings of er_numeric.
 
-    seed drives the random starts of the product-state search behind the gap,
-    max_iter caps the Newton steps and gap_tol is the certificate required.
-    starts is ignored: the barrier solve has one start.
+    max_iter caps the Newton steps and gap_tol is the largest width value - lower
+    of a converged interval.  starts is ignored: the barrier solve has one start.
     """
 
     starts: int = 12
-    seed: int = 0
     max_iter: int = 1500
     gap_tol: float = 1e-5
 
     def __post_init__(self):
-        for name in ("seed", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise OutOfRange(f"E_R {name} must be a nonnegative integer, got {value!r}")
+        value = self.max_iter
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise OutOfRange(f"E_R max_iter must be a nonnegative integer, got {value!r}")
         if not (isinstance(self.gap_tol, numbers.Real) and 0.0 < self.gap_tol < math.inf):
             raise OutOfRange(f"E_R gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 
 @dataclass(frozen=True)
 class ErEstimate:
-    """Certified upper bound on the relative entropy of entanglement."""
+    """Proved interval [lower, value] on the relative entropy of entanglement, in bits.
+
+    value = S(W || argmin.state()) is attained by an explicit separable mixture, so it
+    is an upper bound; lower is a proved lower bound (see er_numeric).  converged means
+    gap = value - lower is at most the configured gap_tol.
+    """
 
     value: float
     argmin: SeparableAnsatz
     converged: bool
     iterations: int
-    gap: float
+    lower: float
+
+    @property
+    def gap(self):
+        return self.value - self.lower
 
 
 def _schmidt_mixture(w):
@@ -416,12 +344,43 @@ def _schmidt_mixture(w):
     return np.stack([product_vector(u[:, j], vh[j]) for j in range(2)]), sv**2 / (sv**2).sum()
 
 
-def _certify(objective, vectors, weights, rng, config, iterations):
-    """Estimate at an explicit product mixture, with its conditional-gradient gap."""
+def _certify(objective, x, t, config, iterations):
+    """Estimate at the product mixture of sigma_x, with a lower bound from the barrier's dual.
+
+    sigma = argmin.state() is separable, so value = f(sigma) >= E_R, with f the regularized
+    objective.  Let G = -L / ((1 + REG_EPS) ln 2) be the gradient matrix of f at sigma and
+    Z = Gamma[(sigma_x^Gamma)^-1] / t the barrier's dual matrix.  Every separable tau has
+    Tr[Z tau] = Tr[(sigma_x^Gamma)^-1 tau^Gamma] / t >= 0, so for each s >= 0 convexity gives
+    f(tau) >= value - Tr[G sigma] + Tr[(G - s Z) tau] >= value - Tr[G sigma] + lambda_min(G - s Z),
+    and S(W || tau) >= f(tau) - log2(1 + REG_EPS).  Any s gives a valid bound; the best (1 at
+    an exact center) is bracketed by doubling from 1, then bisected on the slope -<v|Z|v> of
+    the concave lambda_min(G - s Z).  DUAL_ROUNDOFF covers roundoff in the 4x4 algebra.
+    """
+    vectors, weights = product_decomposition(_sigmas(x)[0])
     argmin = SeparableAnsatz(weights=weights, vectors=vectors)
-    value, l_mat, tr_rho_l = objective.value_and_score_matrix(argmin.state())
-    gap = max(_best_product_score(l_mat, rng) - tr_rho_l, 0.0) / LN2
-    return ErEstimate(max(value, 0.0), argmin, gap <= config.gap_tol, iterations, gap)
+    sigma = argmin.state()
+    value, l_mat = objective.value_and_score_matrix(sigma)
+    grad = -l_mat / ((1.0 + REG_EPS) * LN2)
+    # inverted through its eigenbasis, which keeps the inverse positive definite: an LU
+    # inverse of the near-singular sigma_x^Gamma loses the dual's weak directions to roundoff
+    # (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7 that are 4e-10 to 5e-8 this way)
+    mu, basis = np.linalg.eigh(_sigmas(x)[1])
+    dual = partial_transpose((basis / mu) @ basis.conj().T) / t
+    lo, hi, floor, s, best = 0.0, math.inf, -math.inf, 1.0, 1.0
+    for _ in range(DUAL_STEPS):
+        ev, vec = np.linalg.eigh(grad - s * dual)
+        if ev[0] > floor:
+            floor, best = float(ev[0]), s
+        if (vec[:, 0].conj() @ dual @ vec[:, 0]).real < 0.0:  # lambda_min still rises with s
+            lo = s
+        else:
+            hi = s
+        s = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
+    margin = DUAL_ROUNDOFF * float(np.abs(grad).sum() + best * np.abs(dual).sum())
+    lower = (value - float(np.einsum("ij,ji->", grad, sigma).real) + floor
+             - math.log2(1.0 + REG_EPS) - margin)
+    value, lower = max(value, 0.0), max(lower, 0.0)
+    return ErEstimate(value, argmin, value - lower <= config.gap_tol, iterations, lower)
 
 
 def _sigmas(x):
@@ -453,38 +412,45 @@ def _barrier_value(x, t, objective):
 
 
 def er_numeric(w, config=None):
-    """Upper bound on the relative entropy of entanglement of w, in bits.
+    """Proved interval [lower, value] on the relative entropy of entanglement of w, in bits.
 
-    PPT states exit at their exact product decomposition and pure states at
-    their Schmidt terms (one iteration).  Otherwise a path-following barrier
-    method minimizes t S(W || sigma) - ln det sigma - ln det sigma^Gamma over
-    the Pauli coordinates of sigma, starting from sigma = I/4 and t =
-    BARRIER_START and multiplying t by BARRIER_GROWTH after each centering;
-    every Newton step is one iteration against config.max_iter.  Once
-    BARRIER_NU / t <= gap_tol / BARRIER_GROWTH, each centered sigma is
-    written as <= 4 product states, and the solve returns as soon as the
-    conditional-gradient gap at that mixture is <= gap_tol.  It also ends
-    when the budget is spent or no Newton step descends (the roundoff floor),
-    unconverged unless that gap certifies.  value is S(W || argmin.state()).
-    Deterministic for a fixed config.
+    PPT states exit at their exact product decomposition (lower 0, no
+    iteration) and pure states at their Schmidt terms (lower S(rho_B), one
+    iteration).  Otherwise a path-following barrier method minimizes
+    t S(W || sigma) - ln det sigma - ln det sigma^Gamma over the Pauli
+    coordinates of sigma, starting from sigma = I/4 and t = BARRIER_START and
+    multiplying t by BARRIER_GROWTH after each centering; every Newton step
+    is one iteration against config.max_iter.  Once BARRIER_NU / t <= gap_tol
+    / BARRIER_GROWTH, each centered sigma is written as <= 4 product states
+    and bounded from below by _certify, and the solve returns as soon as
+    value - lower <= gap_tol.  It also ends when the budget is spent or no
+    Newton step descends (the roundoff floor), unconverged unless the
+    interval is that narrow.  value is S(W || argmin.state()).  Deterministic.
     """
     config = config or ErConfig()
     w = validate_state(w)
     objective = _Objective(w)
-    rng = np.random.default_rng(config.seed)
 
-    iterations = 0
+    iterations, spectrum = 0, np.linalg.eigvalsh(w)
     if is_ppt(w):
         vectors, weights = product_decomposition(w)
         argmin = SeparableAnsatz(weights=weights, vectors=vectors)
         value = max(objective.value(argmin.state()), 0.0)
-        if value <= PPT_EXIT_TOL:
-            return ErEstimate(value, argmin, True, 0, value)
-    elif config.max_iter > 0 and np.linalg.eigvalsh(w)[-2] <= EIGEN_KEEP_TOL:
+        if value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
+            return ErEstimate(value, argmin, value <= config.gap_tol, 0, 0.0)
+    elif config.max_iter > 0 and spectrum[-2] <= EIGEN_KEEP_TOL:
         iterations = 1
-        estimate = _certify(objective, *_schmidt_mixture(w), rng, config, iterations)
-        if estimate.converged:
-            return estimate
+        vectors, weights = _schmidt_mixture(w)
+        argmin = SeparableAnsatz(weights=weights, vectors=vectors)
+        value = max(objective.value_and_score_matrix(argmin.state())[0], 0.0)
+        # E_R of the leading eigenvector is S(rho_B) (Vedral & Plenio), and w is within trace
+        # distance eps of it, which moves E_R by at most eps log2 4 + g(eps), g(eps) =
+        # (1 + eps) log2(1 + eps) - eps log2 eps (Winter, Commun. Math. Phys. 347, 291, 2016)
+        eps = 0.5 * float(abs(1.0 - spectrum[-1]) + np.abs(spectrum[:-1]).sum())
+        shift = 2.0 * eps + xlog2x(1.0 + eps) - xlog2x(eps) + SCHMIDT_ROUNDOFF
+        lower = max(entropy_of_eigenvalues(weights) - shift, 0.0)
+        if value - lower <= config.gap_tol:
+            return ErEstimate(value, argmin, True, iterations, lower)
 
     x, t = np.zeros(15), BARRIER_START
     value, grad, hess = _barrier_data(x, t, objective)
@@ -493,10 +459,9 @@ def er_numeric(w, config=None):
         decrement = -float(grad @ step)
         if not decrement > CENTERING_TOL * max(1.0, abs(value)):  # centered at this t
             # one growth past the barrier's own bound BARRIER_NU / t <= gap_tol: the value then
-            # sits about gap_tol / BARRIER_GROWTH above E_R, and the gap is checked once
+            # sits about gap_tol / BARRIER_GROWTH above E_R, and the interval is checked once
             if BARRIER_NU / t <= config.gap_tol / BARRIER_GROWTH:
-                estimate = _certify(objective, *product_decomposition(_sigmas(x)[0]), rng,
-                                    config, iterations)
+                estimate = _certify(objective, x, t, config, iterations)
                 if estimate.converged:
                     return estimate
             t *= BARRIER_GROWTH
@@ -512,4 +477,4 @@ def er_numeric(w, config=None):
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma
             break
-    return _certify(objective, *product_decomposition(_sigmas(x)[0]), rng, config, iterations)
+    return _certify(objective, x, t, config, iterations)

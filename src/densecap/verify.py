@@ -24,7 +24,7 @@ from .densecoding import (
 )
 from .entanglement import entanglement_of_formation, entropy_of_entanglement, er_closed_form
 from .errors import NotPure, OutOfRange
-from .separable import ErConfig, er_numeric
+from .separable import er_numeric
 from .states import FAMILIES, parse_family, random_state, validate_state
 
 CLOSED_FORM_TOL = 1e-9
@@ -69,6 +69,7 @@ class BoundsReport:
     e_f: float
     e_r_closed: float | None
     e_r_numeric: float
+    e_r_numeric_lower: float
     e_r_numeric_converged: bool
     delta: float
     flags: dict
@@ -92,6 +93,7 @@ class BoundsReport:
             "e_f": self.e_f,
             "e_r_closed": self.e_r_closed,
             "e_r_numeric": self.e_r_numeric,
+            "e_r_numeric_lower": self.e_r_numeric_lower,
             "e_r_numeric_converged": self.e_r_numeric_converged,
             "delta": "inf" if math.isinf(self.delta) else self.delta,
             "flags": dict(self.flags),
@@ -107,9 +109,10 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
 
     Given a family, the closed form of E_R is used for the relative-entropy
     comparisons at the tight tolerance, after checking that family and
-    params build w0 (OutOfRange if not); otherwise the numerical upper
-    bound stands in, with a recorded caveat, at the looser numeric
-    tolerance.
+    params build w0 (OutOfRange if not); otherwise the numeric interval
+    stands in, with a recorded caveat: its upper end for C >= E_R at the
+    looser numeric tolerance, and its proved lower end for C <= 1 + E_R, so
+    that each pass is a proof.
     """
     w0 = validate_state(w0)
     e_r_closed = None
@@ -132,23 +135,25 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
         e_v = None
 
     e_f = entanglement_of_formation(w0)
-    estimate = er_numeric(w0, er_config or ErConfig())
+    estimate = er_numeric(w0, er_config)
     if not estimate.converged:
         caveats.append("numeric E_R minimizer stopped before certifying its gap")
 
     if e_r_closed is not None:
-        e_r_used, er_tol, conjecture_tol = e_r_closed, tols["closed_form"], tols["closed_form"]
+        e_r_upper = e_r_lower = e_r_closed
+        er_tol, conjecture_tol = tols["closed_form"], tols["closed_form"]
     else:
-        e_r_used, er_tol, conjecture_tol = estimate.value, tols["numeric_er"], tols["conjecture"]
+        e_r_upper, e_r_lower = estimate.value, estimate.lower
+        er_tol, conjecture_tol = tols["numeric_er"], tols["conjecture"]
         caveats.append(
             "numeric E_R is an upper bound on true E_R; flag is a sufficient check"
         )
 
     average = sdc_average_check(w0)
     flags = {
-        "lower_bound_ok": bool(e_r_used <= c_sdc + er_tol),
+        "lower_bound_ok": bool(e_r_upper <= c_sdc + er_tol),
         "ef_upper_ok": bool(c_sdc <= 1.0 + e_f + tols["closed_form"]),
-        "er_conjecture_ok": bool(c_sdc <= 1.0 + e_r_used + conjecture_tol),
+        "er_conjecture_ok": bool(c_sdc <= 1.0 + e_r_lower + conjecture_tol),
         "delta_bound_ok": True if math.isinf(delta) else bool(c_sdc <= delta + tols["closed_form"]),
         "lemma_ok": bool(average.product_form_error < tols["lemma"] and average.ppt),
     }
@@ -165,6 +170,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
         e_f=e_f,
         e_r_closed=e_r_closed,
         e_r_numeric=estimate.value,
+        e_r_numeric_lower=estimate.lower,
         e_r_numeric_converged=estimate.converged,
         delta=delta,
         flags=flags,

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from densecap import random_state
 
@@ -18,3 +21,19 @@ def random_unitary(rng, dim=2):
 
 def random_states(n, seed, rank=4):
     return [random_state(seed=(seed, i), rank=rank) for i in range(n)]
+
+
+def draw_family_params(data, name, count):
+    """A valid parameter list of the given length for family name."""
+    unit = st.floats(0.0, 1.0)
+    if name == "bell_diagonal":
+        raw = data.draw(st.lists(unit, min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3))
+        return [w / sum(raw) for w in raw]
+    if count == 1:
+        return [data.draw(unit)]
+    theta, phase_a, phase_b = (data.draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(3))
+    if count == 2:  # real Schmidt amplitudes [a, b]
+        return [math.cos(theta), math.sin(theta)]
+    a = math.cos(theta) * complex(math.cos(phase_a), math.sin(phase_a))
+    b = math.sin(theta) * complex(math.cos(phase_b), math.sin(phase_b))
+    return [a.real, a.imag, b.real, b.imag]

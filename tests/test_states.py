@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import draw_family_params
 from densecap import (
     bell,
     bell_diagonal,
@@ -129,22 +130,6 @@ class TestFamilies:
             bell_diagonal([0.3, 0.3, 0.3, 0.3])
         with pytest.raises(NotASimplex):
             bell_diagonal([math.nan, 0.5, 0.5, 0.0])
-
-
-def draw_family_params(data, name, count):
-    """A valid parameter list of the given length for family name."""
-    unit = st.floats(0.0, 1.0)
-    if name == "bell_diagonal":
-        raw = data.draw(st.lists(unit, min_size=4, max_size=4).filter(lambda w: sum(w) > 1e-3))
-        return [w / sum(raw) for w in raw]
-    if count == 1:
-        return [data.draw(unit)]
-    theta, phase_a, phase_b = (data.draw(st.floats(0.0, 2.0 * math.pi)) for _ in range(3))
-    if count == 2:  # real Schmidt amplitudes [a, b]
-        return [math.cos(theta), math.sin(theta)]
-    a = math.cos(theta) * complex(math.cos(phase_a), math.sin(phase_a))
-    b = math.sin(theta) * complex(math.cos(phase_b), math.sin(phase_b))
-    return [a.real, a.imag, b.real, b.imag]
 
 
 class TestFamilyTable:

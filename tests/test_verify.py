@@ -64,14 +64,16 @@ class TestCheckBounds:
     def test_flags_recomputable_from_reported_numbers(self):
         report = check_bounds(random_state(seed=77, rank=4), er_config=FAST_ER)
         doc = report.to_dict()
-        e_r_used = doc["e_r_closed"] if doc["e_r_closed"] is not None else doc["e_r_numeric"]
+        assert doc["e_r_closed"] is None  # the numeric interval stands in: upper end, lower end
+        e_r_upper, e_r_lower = doc["e_r_numeric"], doc["e_r_numeric_lower"]
+        assert 0.0 <= e_r_lower <= e_r_upper
         tol = doc["tolerances"]
-        assert doc["flags"]["lower_bound_ok"] == (e_r_used <= doc["c_sdc"] + tol["e_r_comparison"])
+        assert doc["flags"]["lower_bound_ok"] == (e_r_upper <= doc["c_sdc"] + tol["e_r_comparison"])
         assert doc["flags"]["ef_upper_ok"] == (
             doc["c_sdc"] <= 1.0 + doc["e_f"] + tol["closed_form"]
         )
         assert doc["flags"]["er_conjecture_ok"] == (
-            doc["c_sdc"] <= 1.0 + e_r_used + tol["conjecture"]
+            doc["c_sdc"] <= 1.0 + e_r_lower + tol["conjecture"]
         )
         if doc["delta"] != "inf":
             assert doc["flags"]["delta_bound_ok"] == (
@@ -195,6 +197,7 @@ class TestCli:
         doc = json.loads(proc.stdout)
         assert abs(doc["e_r_closed"] - er_closed_form("werner", [0.75])) < 1e-12
         assert abs(doc["e_r_numeric"] - doc["e_r_closed"]) < 1e-3
+        assert doc["e_r_numeric_lower"] - 1e-9 <= doc["e_r_closed"] <= doc["e_r_numeric"] + 1e-9
         assert abs(doc["concurrence"] - 0.5) < 1e-10
         assert doc["ppt"] is False
 
@@ -260,7 +263,6 @@ class TestCli:
             path = tmp_path / f"state{i}.json"
             path.write_text(text)
             cases.append(["capacity", "--state", str(path)])
-        cases.append(["measures", "--state", "werner:0.75", "--er-seed", "-1"])
         for args in cases:
             proc = run_cli(*args)
             assert proc.returncode == 1, args
