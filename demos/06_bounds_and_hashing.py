@@ -1,7 +1,9 @@
 """Sandwiching the capacity between entanglement measures, plus hashing.
 
-On any shared state the proved bounds are E_R <= C <= 1 + E_F; the
-conjectured tighter ceiling is 1 + E_R.  For Bell-diagonal states with
+On any shared state the proved bounds are E_R <= C <= 1 + E_F, and the
+tighter ceiling 1 + E_R, which the paper conjectured, was proved by
+Plenio, Virmani & Papadopoulos (J. Phys. A 33, L193, 2000); the campaign
+still counts it under its conjecture label.  For Bell-diagonal states with
 entropy below one bit, the hashing protocol's distillable fraction turns
 the capacity into an exact identity: C = 1 + (1 - S).
 """

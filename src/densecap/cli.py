@@ -113,7 +113,7 @@ def cmd_verify(args):
         _emit(report.to_dict())
         return 0 if report.passed else 1
     if args.random is None:
-        raise SystemExit("verify needs --state or --random N")
+        raise DensecapError("verify needs --state or --random N")
     ranks = (args.rank,) if args.rank else (1, 2, 3, 4)
     summary, reports = run_campaign(args.random, seed=args.seed, ranks=ranks)
     payload = {
@@ -181,7 +181,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DensecapError as exc:
+    except (DensecapError, OSError) as exc:  # OSError: a state or output file
         raise SystemExit(f"error: {exc}") from exc
 
 

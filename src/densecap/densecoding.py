@@ -18,7 +18,9 @@ from scipy.optimize import minimize  # noqa: F401  unused; perfbench/tracer.py w
 
 from .errors import NonUnitary
 from .infotheory import LetterEnsemble, holevo, relative_entropy
-from .linalg import ID2, PAULIS, is_unitary, partial_trace, partial_transpose, tensor
+from .linalg import (
+    ID2, PAULI_PRODUCTS, PAULIS, is_unitary, partial_trace, partial_transpose, tensor,
+)
 from .states import check_simplex, parse_family, validate_state
 
 UNIFORM4 = np.full(4, 0.25)
@@ -26,11 +28,7 @@ UNIFORM4 = np.full(4, 0.25)
 
 def _pauli_letters(w0):
     w0 = validate_state(w0)
-    letters = [w0]
-    for sigma in PAULIS:
-        u = tensor(sigma, ID2)
-        letters.append(u @ w0 @ u.conj().T)
-    return letters
+    return [w0] + [u @ w0 @ u for u in PAULI_PRODUCTS[:3]]  # sigma_m x I is Hermitian
 
 
 def sdc_letters(w0):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EntropyTooHigh, NotBellDiagonal, NotPure
 from .infotheory import entropy_of_eigenvalues, von_neumann
-from .linalg import SIGMA_Y, partial_trace, partial_transpose, tensor
+from .linalg import SPIN_FLIP, partial_trace, partial_transpose
 from .states import BELL_VECTORS, binary_entropy, parse_family, validate_state
 
 PPT_TOL = 1e-10
@@ -46,8 +46,7 @@ def concurrence(rho):
     if not keep.any():
         return 0.0
     sub = evecs[:, keep] * np.sqrt(evals[keep])
-    flip = tensor(SIGMA_Y, SIGMA_Y)
-    overlap = sub.T.conj() @ flip @ sub.conj()
+    overlap = sub.T.conj() @ SPIN_FLIP @ sub.conj()
     roots = np.zeros(4)
     sv = np.linalg.svd(overlap, compute_uv=False)
     roots[: sv.size] = sv

@@ -27,6 +27,14 @@ def tensor(a, b):
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
+# the 15 Pauli products: sigma_m x I, then I x sigma_m, then sigma_m x sigma_n (n fastest)
+PAULI_PRODUCTS = np.stack(
+    [tensor(p, ID2) for p in PAULIS] + [tensor(ID2, p) for p in PAULIS]
+    + [tensor(pm, pn) for pm in PAULIS for pn in PAULIS]
+)
+SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
+
+
 def _require_4x4(m):
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):

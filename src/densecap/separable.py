@@ -25,7 +25,7 @@ from scipy.optimize import brentq, minimize  # noqa: F401
 from .entanglement import is_ppt
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
-from .linalg import ID2, PAULIS, SIGMA_Y, partial_transpose, tensor
+from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
 from .states import validate_state, xlog2x
 
 LN2 = math.log(2.0)
@@ -45,10 +45,8 @@ _MIXER = np.eye(4, dtype=complex) / 4.0
 
 # sigma = I/4 + sum_k x_k P_k / 4 over the 15 Pauli products (block 0), and its partial
 # transpose on B (block 1), where the terms with sigma_y on B change sign
-_PAULI15 = np.stack([tensor(p, ID2) for p in PAULIS] + [tensor(ID2, p) for p in PAULIS]
-                    + [tensor(pm, pn) for pm in PAULIS for pn in PAULIS])
 _GAMMA_SIGNS = np.array([1, 1, 1, 1, -1, 1] + [1, -1, 1] * 3)[:, None, None]
-_BASES = np.stack([_PAULI15, _PAULI15 * _GAMMA_SIGNS]) / 4.0
+_BASES = np.stack([PAULI_PRODUCTS, PAULI_PRODUCTS * _GAMMA_SIGNS]) / 4.0
 
 _HADAMARD4 = 0.5 * np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
@@ -109,33 +107,19 @@ def takagi(tau):
             cols.append(evecs[:r, i] + 1j * evecs[r:, i])
             lams.append(float(evals[i]))
 
-    # zero block: the map (x, y) -> (y, -x) pairs its real basis vectors,
-    # so one complex vector is kept per pair
-    basis = [evecs[:, i] for i in range(2 * r) if abs(evals[i]) <= cut]
-    while len(cols) < r and basis:
-        w = basis.pop(0)
-        norm = np.linalg.norm(w)
-        if norm < 1e-10:
-            continue
-        w = w / norm
-        cols.append(w[:r] + 1j * w[r:])
-        lams.append(0.0)
-        jw = np.concatenate([w[r:], -w[:r]])
-        basis = [b - (jw @ b) * jw for b in basis]
-
-    # eigenvalues straddling the cut can unbalance the pairing; complete the
-    # unitary with kernel vectors (error stays at the cut scale)
-    if len(cols) < r:
-        for e in np.eye(r, dtype=complex):
-            if len(cols) == r:
-                break
-            u = e.copy()
-            for c in cols:
-                u = u - np.vdot(c, u) * c
-            norm = np.linalg.norm(u)
-            if norm > 1e-6:
-                cols.append(u / norm)
-                lams.append(0.0)
+    # zero Takagi values: any orthonormal completion u of the columns above has
+    # tau conj(u) = sum_i lam_i v_i (v_i^dagger u)^* = 0, so Gram-Schmidt on the standard
+    # basis supplies them (error stays at the cut scale)
+    for e in np.eye(r, dtype=complex):
+        if len(cols) == r:
+            break
+        u = e.copy()
+        for c in cols:
+            u = u - np.vdot(c, u) * c
+        norm = np.linalg.norm(u)
+        if norm > 1e-6:
+            cols.append(u / norm)
+            lams.append(0.0)
 
     order = np.argsort(lams)[::-1]
     lam = np.array([lams[i] for i in order])
@@ -170,7 +154,7 @@ def _closure_phases(lam):
 def product_decomposition(rho):
     """Write a separable (PPT) two-qubit state as <= 4 product pure states.
 
-    Returns (vectors, weights).  The subnormalized eigenvectors are mixed
+    Returns a SeparableAnsatz.  The subnormalized eigenvectors are mixed
     through the Takagi basis of their spin-flip overlap matrix and then
     recombined with polygon-closure phases, which zeroes the concurrence of
     each output vector; a zero-concurrence pure state is a product state.
@@ -182,10 +166,9 @@ def product_decomposition(rho):
     r = sub.shape[1]
 
     if r == 1:
-        return np.stack([nearest_product_vector(sub[:, 0])]), np.array([1.0])
+        return SeparableAnsatz(np.array([1.0]), np.stack([nearest_product_vector(sub[:, 0])]))
 
-    flip = tensor(SIGMA_Y, SIGMA_Y)
-    tau = sub.T.conj() @ flip @ sub.conj()  # tau[i, j] = <v_i | v~_j>, symmetric
+    tau = sub.T.conj() @ SPIN_FLIP @ sub.conj()  # tau[i, j] = <v_i | v~_j>, symmetric
     lam, v = takagi(tau)
     xs = sub @ v  # column i carries Takagi value lam[i]
 
@@ -204,7 +187,7 @@ def product_decomposition(rho):
         vectors.append(nearest_product_vector(zs[:, i] / math.sqrt(w)))
         weights.append(w)
     weights = np.asarray(weights)
-    return np.stack(vectors), weights / weights.sum()
+    return SeparableAnsatz(weights / weights.sum(), np.stack(vectors))
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +227,6 @@ class _Objective:
         """First divided differences K[i, j] = ln[ev_i, ev_j]."""
         lo, hi = np.minimum(ev[:, None], ev[None, :]), np.maximum(ev[:, None], ev[None, :])
         return _ln_divided(lo, hi)
-
-    def value_and_score_matrix(self, rho):
-        """Objective, plus Hermitian L with d/dt Tr[W ln(rho_reg + tD)]|_0 = Tr[D L].
-
-        rho_reg = (rho + REG_EPS I/4) / (1 + REG_EPS), so the objective's gradient
-        matrix in rho is -L / ((1 + REG_EPS) ln 2).
-        """
-        ev, vec, _ = self._decompose(rho)
-        wt = vec.conj().T @ self.w @ vec
-        diag = np.clip(np.diag(wt).real, 0.0, None)
-        value = self.const - float(diag @ np.log2(ev))
-
-        l_mat = vec @ (self._log_kernel(ev) * wt) @ vec.conj().T
-        return value, (l_mat + l_mat.conj().T) / 2.0
 
     @staticmethod
     def _log_kernel2(ev):
@@ -341,26 +310,29 @@ def _schmidt_mixture(w):
     """Schmidt terms of a pure w at their squared coefficients: the closest
     separable state (Vedral & Plenio, PRA 57, 1619, 1998)."""
     u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
-    return np.stack([product_vector(u[:, j], vh[j]) for j in range(2)]), sv**2 / (sv**2).sum()
+    vectors = np.stack([product_vector(u[:, j], vh[j]) for j in range(2)])
+    return SeparableAnsatz(sv**2 / (sv**2).sum(), vectors)
 
 
 def _certify(objective, x, t, config, iterations):
     """Estimate at the product mixture of sigma_x, with a lower bound from the barrier's dual.
 
     sigma = argmin.state() is separable, so value = f(sigma) >= E_R, with f the regularized
-    objective.  Let G = -L / ((1 + REG_EPS) ln 2) be the gradient matrix of f at sigma and
-    Z = Gamma[(sigma_x^Gamma)^-1] / t the barrier's dual matrix.  Every separable tau has
-    Tr[Z tau] = Tr[(sigma_x^Gamma)^-1 tau^Gamma] / t >= 0, so for each s >= 0 convexity gives
-    f(tau) >= value - Tr[G sigma] + Tr[(G - s Z) tau] >= value - Tr[G sigma] + lambda_min(G - s Z),
-    and S(W || tau) >= f(tau) - log2(1 + REG_EPS).  Any s gives a valid bound; the best (1 at
-    an exact center) is bracketed by doubling from 1, then bisected on the slope -<v|Z|v> of
-    the concave lambda_min(G - s Z).  DUAL_ROUNDOFF covers roundoff in the 4x4 algebra.
+    objective.  Let G = sum_k g_k P_k / (1 + REG_EPS), with g the Pauli gradient that
+    pauli_newton_data returns at sigma: the gradient matrix of f less a multiple of the
+    identity, which would shift Tr[G sigma] and lambda_min(G - s Z) alike (Tr sigma = 1).
+    Let Z = Gamma[(sigma_x^Gamma)^-1] / t be the barrier's dual matrix.  Every separable tau
+    has Tr[Z tau] = Tr[(sigma_x^Gamma)^-1 tau^Gamma] / t >= 0, so for each s >= 0 convexity
+    gives f(tau) >= value - Tr[G sigma] + Tr[(G - s Z) tau] >= value - Tr[G sigma] +
+    lambda_min(G - s Z), and S(W || tau) >= f(tau) - log2(1 + REG_EPS).  Any s gives a valid
+    bound; the best (1 at an exact center) is bracketed by doubling from 1, then bisected on
+    the slope -<v|Z|v> of the concave lambda_min(G - s Z).  DUAL_ROUNDOFF covers roundoff in
+    the 4x4 algebra.
     """
-    vectors, weights = product_decomposition(_sigmas(x)[0])
-    argmin = SeparableAnsatz(weights=weights, vectors=vectors)
+    argmin = product_decomposition(_sigmas(x)[0])
     sigma = argmin.state()
-    value, l_mat = objective.value_and_score_matrix(sigma)
-    grad = -l_mat / ((1.0 + REG_EPS) * LN2)
+    value, pauli_grad, _ = objective.pauli_newton_data(sigma)
+    grad = np.tensordot(pauli_grad, PAULI_PRODUCTS, 1) / (1.0 + REG_EPS)
     # inverted through its eigenbasis, which keeps the inverse positive definite: an LU
     # inverse of the near-singular sigma_x^Gamma loses the dual's weak directions to roundoff
     # (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7 that are 4e-10 to 5e-8 this way)
@@ -433,22 +405,20 @@ def er_numeric(w, config=None):
 
     iterations, spectrum = 0, np.linalg.eigvalsh(w)
     if is_ppt(w):
-        vectors, weights = product_decomposition(w)
-        argmin = SeparableAnsatz(weights=weights, vectors=vectors)
+        argmin = product_decomposition(w)
         value = max(objective.value(argmin.state()), 0.0)
         if value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
             return ErEstimate(value, argmin, value <= config.gap_tol, 0, 0.0)
     elif config.max_iter > 0 and spectrum[-2] <= EIGEN_KEEP_TOL:
         iterations = 1
-        vectors, weights = _schmidt_mixture(w)
-        argmin = SeparableAnsatz(weights=weights, vectors=vectors)
-        value = max(objective.value_and_score_matrix(argmin.state())[0], 0.0)
+        argmin = _schmidt_mixture(w)
+        value = max(objective.value(argmin.state()), 0.0)
         # E_R of the leading eigenvector is S(rho_B) (Vedral & Plenio), and w is within trace
         # distance eps of it, which moves E_R by at most eps log2 4 + g(eps), g(eps) =
         # (1 + eps) log2(1 + eps) - eps log2 eps (Winter, Commun. Math. Phys. 347, 291, 2016)
         eps = 0.5 * float(abs(1.0 - spectrum[-1]) + np.abs(spectrum[:-1]).sum())
         shift = 2.0 * eps + xlog2x(1.0 + eps) - xlog2x(eps) + SCHMIDT_ROUNDOFF
-        lower = max(entropy_of_eigenvalues(weights) - shift, 0.0)
+        lower = max(entropy_of_eigenvalues(argmin.weights) - shift, 0.0)
         if value - lower <= config.gap_tol:
             return ErEstimate(value, argmin, True, iterations, lower)
 

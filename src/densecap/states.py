@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, NotASimplex, NotNormalized, OutOfRange
-from .linalg import ID2, PAULIS, tensor
+from .linalg import PAULI_PRODUCTS
 
 STATE_HERM_TOL = 1e-12
 STATE_TRACE_TOL = 1e-12
@@ -75,8 +75,8 @@ def check_simplex(probs, n=None, tol=1e-12):
         p = np.asarray(probs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise NotASimplex(f"probabilities {probs!r} are not numbers") from exc
-    if p.ndim != 1 or (n is not None and p.size != n):
-        raise NotASimplex(f"expected {n} probabilities, got shape {p.shape}")
+    if p.ndim != 1 or p.size == 0 or (n is not None and p.size != n):
+        raise NotASimplex(f"expected {n or 'some'} probabilities, got shape {p.shape}")
     # the accepting condition, negated, so that a NaN entry fails it
     if not (p.min() >= -tol and abs(p.sum() - 1.0) <= tol):
         raise NotASimplex(f"probabilities {p.tolist()} do not form a simplex")
@@ -160,23 +160,14 @@ class PauliDecomposition:
 def to_pauli(rho):
     """Expand a state in the Pauli product basis."""
     rho = validate_state(rho)
-    r = np.array([np.trace(rho @ tensor(p, ID2)).real for p in PAULIS])
-    s = np.array([np.trace(rho @ tensor(ID2, p)).real for p in PAULIS])
-    t = np.array(
-        [[np.trace(rho @ tensor(pm, pn)).real for pn in PAULIS] for pm in PAULIS]
-    )
-    return PauliDecomposition(r=r, s=s, t=t)
+    coeffs = np.einsum("ij,kji->k", rho, PAULI_PRODUCTS).real  # Tr[rho P_k]
+    return PauliDecomposition(r=coeffs[:3], s=coeffs[3:6], t=coeffs[6:].reshape(3, 3))
 
 
 def from_pauli(dec):
     """Rebuild the 4x4 state from Pauli coefficients; must be a valid state."""
-    rho = np.eye(4, dtype=complex)
-    for m in range(3):
-        rho += dec.r[m] * tensor(PAULIS[m], ID2)
-        rho += dec.s[m] * tensor(ID2, PAULIS[m])
-        for n in range(3):
-            rho += dec.t[m, n] * tensor(PAULIS[m], PAULIS[n])
-    rho /= 4.0
+    coeffs = np.concatenate([dec.r, dec.s, np.ravel(dec.t)])
+    rho = (np.eye(4, dtype=complex) + np.tensordot(coeffs, PAULI_PRODUCTS, 1)) / 4.0
     return validate_state(rho, "from_pauli output")
 
 

@@ -2,11 +2,12 @@
 
 Every report records the numbers it compared and the tolerances it used,
 so each pass/fail flag can be recomputed from the report alone.  The
-theorem-backed bounds (capacity at least the relative entropy of
-entanglement, at most 1 + entanglement of formation, at most the average
-distinguishability) are kept separate from the conjectured bound
-(capacity at most 1 + relative entropy of entanglement), which is only
-ever labeled a conjecture check.
+bounds are capacity at least the relative entropy of entanglement, at
+most 1 + entanglement of formation, at most the average
+distinguishability, and at most 1 + relative entropy of entanglement.
+The paper conjectured the last one; Plenio, Virmani & Papadopoulos
+(J. Phys. A 33, L193, 2000) proved it.  Its flag and violation count keep
+the conjecture label and are reported apart from the other four.
 """
 
 import math
@@ -28,8 +29,6 @@ from .separable import er_numeric
 from .states import FAMILIES, parse_family, random_state, validate_state
 
 CLOSED_FORM_TOL = 1e-9
-NUMERIC_ER_TOL = 1e-3
-CONJECTURE_TOL = 1e-6
 LEMMA_TOL = 1e-12
 FAMILY_MATCH_TOL = 1e-12  # largest entry gap between w0 and the state its family/params build
 MAX_SWEEP_ROWS = 10**6
@@ -39,13 +38,8 @@ THEOREM_FLAGS = ("lower_bound_ok", "ef_upper_ok", "delta_bound_ok", "lemma_ok")
 
 
 def default_tolerances():
-    """Comparison tolerances; DENSECAP_TOL overrides both comparison defaults."""
-    tols = {
-        "closed_form": CLOSED_FORM_TOL,
-        "numeric_er": NUMERIC_ER_TOL,
-        "conjecture": CONJECTURE_TOL,
-        "lemma": LEMMA_TOL,
-    }
+    """Comparison tolerances; DENSECAP_TOL overrides the closed-form one."""
+    tols = {"closed_form": CLOSED_FORM_TOL, "lemma": LEMMA_TOL}
     override = os.environ.get("DENSECAP_TOL")
     if override:
         try:
@@ -55,7 +49,6 @@ def default_tolerances():
         if not (math.isfinite(value) and value > 0.0):
             raise OutOfRange(f"DENSECAP_TOL={override!r} is not a positive number")
         tols["closed_form"] = value
-        tols["numeric_er"] = value
     return tols
 
 
@@ -104,15 +97,15 @@ class BoundsReport:
         }
 
 
-def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, descriptor=None):
+def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
     """Evaluate every bound for one shared state and flag each one.
 
     Given a family, the closed form of E_R is used for the relative-entropy
-    comparisons at the tight tolerance, after checking that family and
-    params build w0 (OutOfRange if not); otherwise the numeric interval
-    stands in, with a recorded caveat: its upper end for C >= E_R at the
-    looser numeric tolerance, and its proved lower end for C <= 1 + E_R, so
-    that each pass is a proof.
+    comparisons, after checking that family and params build w0 (OutOfRange
+    if not); otherwise the numeric interval stands in, with a recorded
+    caveat: its upper end for C >= E_R and its proved lower end for
+    C <= 1 + E_R, so that each pass is a proof.  Both compare at the
+    closed-form tolerance.
     """
     w0 = validate_state(w0)
     e_r_closed = None
@@ -122,7 +115,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
         if not gap <= FAMILY_MATCH_TOL:
             raise OutOfRange(f"{family} {list(params)} does not build the given state (gap {gap:.3g})")
         e_r_closed = row.e_r(*args)
-    tols = dict(tolerances or default_tolerances())
+    tols = default_tolerances()
     caveats = []
 
     ensemble = sdc_letters(w0)
@@ -141,19 +134,17 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
 
     if e_r_closed is not None:
         e_r_upper = e_r_lower = e_r_closed
-        er_tol, conjecture_tol = tols["closed_form"], tols["closed_form"]
     else:
         e_r_upper, e_r_lower = estimate.value, estimate.lower
-        er_tol, conjecture_tol = tols["numeric_er"], tols["conjecture"]
         caveats.append(
             "numeric E_R is an upper bound on true E_R; flag is a sufficient check"
         )
 
     average = sdc_average_check(w0)
     flags = {
-        "lower_bound_ok": bool(e_r_upper <= c_sdc + er_tol),
+        "lower_bound_ok": bool(e_r_upper <= c_sdc + tols["closed_form"]),
         "ef_upper_ok": bool(c_sdc <= 1.0 + e_f + tols["closed_form"]),
-        "er_conjecture_ok": bool(c_sdc <= 1.0 + e_r_lower + conjecture_tol),
+        "er_conjecture_ok": bool(c_sdc <= 1.0 + e_r_lower + tols["closed_form"]),
         "delta_bound_ok": True if math.isinf(delta) else bool(c_sdc <= delta + tols["closed_form"]),
         "lemma_ok": bool(average.product_form_error < tols["lemma"] and average.ppt),
     }
@@ -174,12 +165,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, tolerances=None, 
         e_r_numeric_converged=estimate.converged,
         delta=delta,
         flags=flags,
-        tolerances={
-            "e_r_comparison": er_tol,
-            "conjecture": conjecture_tol,
-            "closed_form": tols["closed_form"],
-            "lemma": tols["lemma"],
-        },
+        tolerances=tols,
         caveats=caveats,
         e_d_lower_informational=max(c_sdc - 1.0, 0.0),
     )
@@ -239,6 +225,8 @@ def write_sweep_csv(rows, path):
 
 def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     """Deterministic list of (state, descriptor) pairs for a campaign."""
+    if n_states < 1:
+        raise OutOfRange("n_states must be at least 1")
     out = []
     for i in range(n_states):
         rank = ranks[i % len(ranks)]
@@ -247,21 +235,16 @@ def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     return out
 
 
-def run_campaign(n_states, seed, ranks=(1, 2, 3, 4), er_config=None, tolerances=None):
+def run_campaign(n_states, seed, ranks=(1, 2, 3, 4), er_config=None):
     """Check bounds on seeded random states; summarize pass/fail per flag.
 
-    Theorem violations (proved bounds failing) are counted separately from
-    conjecture violations, which concern only the unproven upper bound.
+    Theorem violations count the states where one of the four other bounds
+    fails; conjecture violations count those where C <= 1 + E_R fails (the
+    paper's conjecture, since proved), so a nonzero count flags a solver bug.
     """
-    if n_states < 1:
-        raise OutOfRange("n_states must be at least 1")
     reports = []
     for state, descriptor in campaign_states(n_states, seed, ranks):
-        reports.append(
-            check_bounds(
-                state, er_config=er_config, tolerances=tolerances, descriptor=descriptor
-            )
-        )
+        reports.append(check_bounds(state, er_config=er_config, descriptor=descriptor))
 
     flag_failures = {name: 0 for name in FLAG_NAMES}
     for report in reports:

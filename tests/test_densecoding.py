@@ -112,6 +112,10 @@ class TestCgdcEnsemble:
         with pytest.raises(NonUnitary):
             CgdcEncoding(unitaries=[np.ones((2, 2), dtype=complex)] * 4, probs=[0.25] * 4)
 
+    def test_rejects_empty_encoding(self):
+        with pytest.raises(NotASimplex):
+            CgdcEncoding((), [])
+
 
 class TestCapacity:
     def test_bell_endpoint(self):

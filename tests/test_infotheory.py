@@ -136,3 +136,5 @@ class TestHolevo:
             LetterEnsemble(letters=[rho, rho], probs=[0.7, 0.7])
         with pytest.raises(NotASimplex):
             LetterEnsemble(letters=[rho, rho], probs=[float("nan"), 1.0])
+        with pytest.raises(NotASimplex):
+            LetterEnsemble((), [])

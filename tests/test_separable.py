@@ -20,9 +20,8 @@ from densecap import (
     werner,
 )
 from densecap.errors import OutOfRange
-from densecap.linalg import ID2, PAULIS, partial_transpose, tensor
+from densecap.linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
-    LN2,
     REG_EPS,
     ErConfig,
     SeparableAnsatz,
@@ -76,25 +75,49 @@ class TestProductDecomposition:
             if not is_ppt(rho):
                 continue
             found += 1
-            vectors, weights = product_decomposition(rho)
-            recon = mixture_state(vectors, weights)
-            assert np.abs(recon - rho).max() < 1e-8
-            for v in vectors:
+            ansatz = product_decomposition(rho)
+            assert np.abs(ansatz.state() - rho).max() < 1e-8
+            for v in ansatz.vectors:
                 # each component factorizes: second Schmidt coefficient ~ 0
                 sv = np.linalg.svd(v.reshape(2, 2), compute_uv=False)
                 assert sv[1] < 1e-7
-            assert abs(weights.sum() - 1.0) < 1e-12
-            assert np.all(weights >= 0)
+            assert abs(ansatz.weights.sum() - 1.0) < 1e-12
+            assert np.all(ansatz.weights >= 0)
 
     def test_exact_on_bell_diagonal_boundary(self):
         rho = bell_diagonal([0.5, 0.3, 0.1, 0.1])
-        vectors, weights = product_decomposition(rho)
-        assert np.abs(mixture_state(vectors, weights) - rho).max() < 1e-8
+        assert np.abs(product_decomposition(rho).state() - rho).max() < 1e-8
 
     def test_maximally_mixed(self):
         rho = np.eye(4, dtype=complex) / 4
-        vectors, weights = product_decomposition(rho)
-        assert np.abs(mixture_state(vectors, weights) - rho).max() < 1e-10
+        assert np.abs(product_decomposition(rho).state() - rho).max() < 1e-10
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pure_on_a=st.booleans(), as_mixture=st.booleans())
+    def test_states_with_a_product_factor(self, seed, pure_on_a, as_mixture):
+        # |a><a| x rho_B or rho_A x |b><b|, built directly or as a mixture of product states
+        # sharing the pure factor: their spin-flip overlap has only zero Takagi values
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+        shared, others = raw[0] / np.linalg.norm(raw[0]), raw[1:]
+        if as_mixture:
+            others = others / np.linalg.norm(others, axis=1, keepdims=True)
+            pairs = [(shared, b) if pure_on_a else (b, shared) for b in others]
+            rho = mixture_state([product_vector(a, b) for a, b in pairs], rng.dirichlet([1, 1]))
+        else:
+            mixed = others.T @ others.conj()
+            mixed /= np.trace(mixed).real
+            pure = np.outer(shared, shared.conj())
+            rho = tensor(pure, mixed) if pure_on_a else tensor(mixed, pure)
+        evals, evecs = np.linalg.eigh(rho)
+        sub = evecs[:, evals > 1e-14] * np.sqrt(evals[evals > 1e-14])
+        assert takagi(sub.T.conj() @ SPIN_FLIP @ sub.conj())[0].min() < 1e-12
+
+        ansatz = product_decomposition(rho)
+        assert np.abs(ansatz.state() - rho).max() < 1e-10
+        for v in ansatz.vectors:
+            assert np.linalg.svd(v.reshape(2, 2), compute_uv=False)[1] < 1e-12
+        assert np.all(ansatz.weights >= 0.0) and abs(ansatz.weights.sum() - 1.0) < 1e-12
 
 
 class TestErNumeric:
@@ -303,32 +326,21 @@ class TestErNumericProperties:
         assert estimate.lower - 1e-9 <= closed <= estimate.value + 1e-9, (name, params, estimate)
 
 
-_OPS_A = np.stack([tensor(p, ID2) for p in PAULIS])
-_OPS_B = np.stack([tensor(ID2, p) for p in PAULIS])
-_OPS_AB = np.stack([tensor(pm, pn) for pm in PAULIS for pn in PAULIS])
-
-
-def pauli_data(m):
-    """Tr m and the Tr[m P] of the Pauli products: Alice's r, Bob's s and the correlations T."""
-    t0 = float(np.trace(m).real)
-    r = np.einsum("ij,kji->k", m, _OPS_A).real
-    s = np.einsum("ij,kji->k", m, _OPS_B).real
-    t = np.einsum("ij,kji->k", m, _OPS_AB).real.reshape(3, 3)
-    return t0, r, s, t
-
-
 def grid_gap(w_state, estimate, points=100_000):
     """Conditional-gradient gap Tr[G sigma] - min Tr[G P] over product states P at the
-    returned mixture sigma, G the objective's gradient matrix, with the minimum taken over a
-    random sphere grid of Bob directions, each at its exact best Alice one."""
+    returned mixture sigma, G = sum_k g_k P_k / (1 + REG_EPS) the objective's gradient matrix
+    (less its multiple of the identity, which cancels) from the Pauli gradient g, with the
+    minimum taken over a random sphere grid of Bob directions, each at its exact best Alice
+    one: P = (I + a.sigma)/2 x (I + b.sigma)/2 has Tr[-G P] = (a.r + b.s + a.T b) / 4."""
     sigma = estimate.argmin.state()
-    _, l_mat = _Objective(w_state).value_and_score_matrix(sigma)
-    score = l_mat / ((1.0 + REG_EPS) * LN2)  # -G
-    t0, r, s, t = pauli_data(score)
+    _, grad, _ = _Objective(w_state).pauli_newton_data(sigma)
+    coeffs = -4.0 * grad / (1.0 + REG_EPS)  # Tr[-G P_k]
+    r, s, t = coeffs[:3], coeffs[3:6], coeffs[6:].reshape(3, 3)
     beta = np.random.default_rng(12345).standard_normal((points, 3))
     beta /= np.linalg.norm(beta, axis=1, keepdims=True)
-    best = 0.25 * (t0 + beta @ s + np.linalg.norm(r[None, :] + beta @ t.T, axis=1)).max()
-    return max(best - float(np.trace(score @ sigma).real), 0.0)
+    best = 0.25 * (beta @ s + np.linalg.norm(r[None, :] + beta @ t.T, axis=1)).max()
+    x_sigma = np.einsum("kij,ji->k", PAULI_PRODUCTS, sigma).real  # Tr[P_k sigma]
+    return max(best - 0.25 * float(coeffs @ x_sigma), 0.0)
 
 
 class TestReportedGap:

@@ -28,6 +28,7 @@ from densecap.linalg import ID2, PAULIS, partial_trace, tensor
 from densecap.states import (
     FAMILIES,
     build_family_state,
+    check_simplex,
     state_from_json_dict,
     state_to_json_dict,
 )
@@ -130,6 +131,10 @@ class TestFamilies:
             bell_diagonal([0.3, 0.3, 0.3, 0.3])
         with pytest.raises(NotASimplex):
             bell_diagonal([math.nan, 0.5, 0.5, 0.0])
+
+    def test_empty_simplex_rejected(self):
+        with pytest.raises(NotASimplex):
+            check_simplex([])
 
 
 class TestFamilyTable:

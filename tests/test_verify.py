@@ -68,12 +68,13 @@ class TestCheckBounds:
         e_r_upper, e_r_lower = doc["e_r_numeric"], doc["e_r_numeric_lower"]
         assert 0.0 <= e_r_lower <= e_r_upper
         tol = doc["tolerances"]
-        assert doc["flags"]["lower_bound_ok"] == (e_r_upper <= doc["c_sdc"] + tol["e_r_comparison"])
+        assert sorted(tol) == ["closed_form", "lemma"]
+        assert doc["flags"]["lower_bound_ok"] == (e_r_upper <= doc["c_sdc"] + tol["closed_form"])
         assert doc["flags"]["ef_upper_ok"] == (
             doc["c_sdc"] <= 1.0 + doc["e_f"] + tol["closed_form"]
         )
         assert doc["flags"]["er_conjecture_ok"] == (
-            doc["c_sdc"] <= 1.0 + e_r_lower + tol["conjecture"]
+            doc["c_sdc"] <= 1.0 + e_r_lower + tol["closed_form"]
         )
         if doc["delta"] != "inf":
             assert doc["flags"]["delta_bound_ok"] == (
@@ -171,6 +172,8 @@ class TestCampaign:
     def test_campaign_needs_states(self):
         with pytest.raises(OutOfRange):
             run_campaign(0, seed=0)
+        with pytest.raises(OutOfRange):
+            lemma_campaign(-3, seed=0)
 
 
 class TestCli:
@@ -263,6 +266,13 @@ class TestCli:
             path = tmp_path / f"state{i}.json"
             path.write_text(text)
             cases.append(["capacity", "--state", str(path)])
+        cases += [
+            ["capacity", "--state", "x" * 5000],  # the file test itself fails: name too long
+            ["verify"],
+            ["lemma", "--random", "-3"],
+            ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.5",
+             "--out", str(tmp_path / "missing" / "sweep.csv")],
+        ]
         for args in cases:
             proc = run_cli(*args)
             assert proc.returncode == 1, args
