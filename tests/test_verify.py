@@ -8,6 +8,7 @@ import pytest
 
 from densecap import (
     bell,
+    bell_diagonal,
     capacity_closed_form,
     check_bounds,
     er_closed_form,
@@ -61,6 +62,16 @@ class TestCheckBounds:
         assert math.isinf(report.delta)
         assert any("trivially satisfied" in c for c in report.caveats)
 
+    def test_equality_states_pass_without_family(self):
+        # C = 1 + E_R holds with equality here, and the proved lower end of
+        # the numeric interval sits below E_R by up to gap_tol
+        for rho in (lambda_b(0.5), bell_diagonal([0.7, 0.3, 0.0, 0.0])):
+            report = check_bounds(rho)
+            assert report.e_r_closed is None and report.e_r_numeric_converged
+            assert report.c_sdc > 1.0 + report.e_r_numeric_lower + 1e-9
+            assert report.flags["er_conjecture_ok"], report.to_dict()
+            assert report.passed, report.flags
+
     def test_flags_recomputable_from_reported_numbers(self):
         report = check_bounds(random_state(seed=77, rank=4), er_config=FAST_ER)
         doc = report.to_dict()
@@ -68,13 +79,14 @@ class TestCheckBounds:
         e_r_upper, e_r_lower = doc["e_r_numeric"], doc["e_r_numeric_lower"]
         assert 0.0 <= e_r_lower <= e_r_upper
         tol = doc["tolerances"]
-        assert sorted(tol) == ["closed_form", "lemma"]
+        assert sorted(tol) == ["closed_form", "conjecture", "lemma"]
+        assert tol["conjecture"] == tol["closed_form"] + FAST_ER.gap_tol
         assert doc["flags"]["lower_bound_ok"] == (e_r_upper <= doc["c_sdc"] + tol["closed_form"])
         assert doc["flags"]["ef_upper_ok"] == (
             doc["c_sdc"] <= 1.0 + doc["e_f"] + tol["closed_form"]
         )
         assert doc["flags"]["er_conjecture_ok"] == (
-            doc["c_sdc"] <= 1.0 + e_r_lower + tol["closed_form"]
+            doc["c_sdc"] <= 1.0 + e_r_lower + tol["conjecture"]
         )
         if doc["delta"] != "inf":
             assert doc["flags"]["delta_bound_ok"] == (
@@ -220,13 +232,15 @@ class TestCli:
     def test_verify_explicit_json_file(self, tmp_path):
         from densecap.states import state_to_json_dict
 
-        rho = random_state(seed=123, rank=4)
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(state_to_json_dict(rho)))
-        proc = run_cli("verify", "--state", str(path))
-        assert proc.returncode == 0, proc.stderr
-        doc = json.loads(proc.stdout)
-        assert doc["descriptor"] == {"family": "explicit"}
+        # lambda_b(0.5) meets C <= 1 + E_R with equality
+        for rho in (random_state(seed=123, rank=4), lambda_b(0.5)):
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps(state_to_json_dict(rho)))
+            proc = run_cli("verify", "--state", str(path))
+            assert proc.returncode == 0, (proc.stderr, proc.stdout)
+            doc = json.loads(proc.stdout)
+            assert doc["descriptor"] == {"family": "explicit"}
+            assert doc["flags"]["er_conjecture_ok"] is True
 
     def test_verify_random_campaign(self):
         proc = run_cli("verify", "--random", "4", "--seed", "11")
