@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; perfbench/tracer.py wraps this binding
 
 from .errors import NonUnitary
-from .infotheory import LetterEnsemble, holevo, relative_entropy
+from .infotheory import LetterEnsemble, _relative_entropy, entropy_of_eigenvalues, holevo
 from .linalg import (
     ID2, PAULI_PRODUCTS, PAULIS, is_unitary, partial_trace, partial_transpose, tensor,
 )
@@ -111,13 +111,16 @@ def distinguishability(ensemble):
     """
     probs = ensemble.probs
     letters = ensemble.letters
+    stack = np.stack(letters)  # validated by LetterEnsemble, so each is decomposed once here
+    spectra, (ev, vec) = np.linalg.eigvalsh(stack), np.linalg.eigh(stack)
     total = 0.0
     for i, wi in enumerate(letters):
-        for j, wj in enumerate(letters):
+        neg_entropy = -entropy_of_eigenvalues(spectra[i])
+        for j in range(len(letters)):
             weight = probs[i] * probs[j]
             if i == j or weight == 0.0:
                 continue
-            term = relative_entropy(wi, wj)
+            term = _relative_entropy(wi, neg_entropy, ev[j], vec[j])
             if math.isinf(term):
                 return math.inf
             total += weight * term

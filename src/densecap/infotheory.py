@@ -49,17 +49,20 @@ def relative_entropy(sigma, rho):
     if sigma.shape != rho.shape:
         raise InvalidState(f"dimension mismatch {sigma.shape} vs {rho.shape}")
 
-    ev_rho, vec_rho = np.linalg.eigh(rho)
+    return _relative_entropy(sigma, -entropy_of_eigenvalues(np.linalg.eigvalsh(sigma)),
+                             *np.linalg.eigh(rho))
+
+
+def _relative_entropy(sigma, neg_entropy, ev_rho, vec_rho):
+    """relative_entropy of validated states from -S(sigma) and the eigh (ev_rho, vec_rho) of rho."""
     weights = np.einsum("ij,jk,ki->i", vec_rho.conj().T, sigma, vec_rho).real
     weights = np.clip(weights, 0.0, None)
     kernel = ev_rho < SUPPORT_KERNEL_TOL
     if weights[kernel].sum() > SUPPORT_WEIGHT_TOL:
         return math.inf
 
-    value = -entropy_of_eigenvalues(np.linalg.eigvalsh(sigma))
     supported = ~kernel
-    value -= float(weights[supported] @ np.log2(ev_rho[supported]))
-    return _clamp(value)
+    return _clamp(neg_entropy - float(weights[supported] @ np.log2(ev_rho[supported])))
 
 
 @dataclass(frozen=True)

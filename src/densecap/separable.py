@@ -47,6 +47,7 @@ _MIXER = np.eye(4, dtype=complex) / 4.0
 # transpose on B (block 1), where the terms with sigma_y on B change sign
 _GAMMA_SIGNS = np.array([1, 1, 1, 1, -1, 1] + [1, -1, 1] * 3)[:, None, None]
 _BASES = np.stack([PAULI_PRODUCTS, PAULI_PRODUCTS * _GAMMA_SIGNS]) / 4.0
+_BASES_FLAT = _BASES.swapaxes(0, 1).reshape(15, 32)  # row k: both blocks' P_k / 4, flattened
 
 _HADAMARD4 = 0.5 * np.array(
     [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
@@ -131,10 +132,12 @@ def _closure_phases(lam):
     """Phases phi with sum_j lam[j] exp(i phi[j]) ~= 0 (lam sorted descending)."""
 
     def pair_angle(big, small, resultant):
+        # |big + small e^{i phi}|^2 = (big - small)^2 + 4 big small cos^2(phi / 2): the half
+        # angle keeps phi near pi, where the cosine of phi itself cancels to ~1e-8
         if small < 1e-300:
             return 0.0
-        c = (resultant**2 - big**2 - small**2) / (2.0 * big * small)
-        return math.acos(min(1.0, max(-1.0, c)))
+        c2 = (resultant**2 - (big - small) ** 2) / (4.0 * big * small)
+        return 2.0 * math.acos(math.sqrt(min(1.0, max(0.0, c2))))
 
     l1, l2, l3, l4 = lam
     lo = max(l1 - l2, l3 - l4)
@@ -200,27 +203,31 @@ def _ln_divided(x, y):
     return np.where(y > x, np.log1p((y - x) / x) / np.where(y > x, y - x, 1.0), 1.0 / x)
 
 
+# sorted index triple lo <= mid <= hi of each (i, k, j): the sorted values on an ascending ev
+_LO, _MID, _HI = np.sort(np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij")), axis=0)
+
+
 class _Objective:
     """S(W || rho) in bits as a function of rho.
 
-    rho is regularized by mixing in REG_EPS * I/4 before logs are taken,
-    which keeps the objective finite on rank-deficient mixtures while
-    staying inside the separable set.
+    rho is regularized by mixing in REG_EPS * I/4 before logs are taken, which keeps the
+    objective finite on rank-deficient mixtures while staying inside the separable set.  The
+    mixing keeps rho's eigenvectors and maps each eigenvalue mu to (mu + REG_EPS/4) / (1 + REG_EPS).
     """
 
     def __init__(self, w):
         self.w = w
         self.const = -entropy_of_eigenvalues(np.linalg.eigvalsh(w))  # Tr W log2 W
 
-    def _decompose(self, rho):
-        reg = (rho + REG_EPS * _MIXER) / (1.0 + REG_EPS)
-        ev, vec = np.linalg.eigh(reg)
-        return np.clip(ev, 1e-300, None), vec, reg
+    @staticmethod
+    def _regularized(mu):
+        return np.clip((mu + 0.25 * REG_EPS) / (1.0 + REG_EPS), 1e-300, None)
 
-    def value(self, rho):
-        ev, vec, _ = self._decompose(rho)
-        weights = np.clip(np.einsum("ji,jk,ki->i", vec.conj(), self.w, vec).real, 0.0, None)
-        return self.const - float(weights @ np.log2(ev))
+    def value(self, rho, eigen=None):
+        """f at rho; eigen = (mu, u), the eigh of rho, is used when given."""
+        mu, u = np.linalg.eigh(rho) if eigen is None else eigen
+        weights = np.clip((u.conj() * (self.w @ u)).sum(axis=0).real, 0.0, None)
+        return self.const - float(weights @ np.log2(self._regularized(mu)))
 
     @staticmethod
     def _log_kernel(ev):
@@ -229,19 +236,18 @@ class _Objective:
         return _ln_divided(lo, hi)
 
     @staticmethod
-    def _log_kernel2(ev):
-        """Second divided differences F[i, k, j] = ln[ev_i, ev_k, ev_j].
+    def _log_kernel2(ev, kernel):
+        """Second divided differences F[i, k, j] = ln[ev_i, ev_k, ev_j] of an ascending ev,
+        from its first ones kernel = _log_kernel(ev).
 
         (ln[a, b] - ln[b, c]) / (a - c) on each sorted triple a <= b <= c, or
         -1/(2 m^2) at its mean m when the spread c - a is below 1e-5 c.
         """
-        a, b, c = np.moveaxis(np.sort(np.stack(np.broadcast_arrays(
-            ev[:, None, None], ev[None, :, None], ev[None, None, :]), axis=-1)), -1, 0)
-
+        a, b, c = ev[_LO], ev[_MID], ev[_HI]
         near = c - a <= 1e-5 * c
         spread = np.where(near, -1.0, a - c)
         return np.where(near, -4.5 / (a + b + c) ** 2,
-                        (_ln_divided(a, b) - _ln_divided(b, c)) / spread)
+                        (kernel[_LO, _MID] - kernel[_MID, _HI]) / spread)
 
     def pauli_newton_data(self, rho):
         """Value, gradient and Hessian of f(x) = S(W || rho) in the coordinates rho = I/4 +
@@ -251,13 +257,20 @@ class _Objective:
         g_k = -Tr[D_k (K o wt)] / ln 2 with K the first divided differences of ln, and
         H_jk = -(2 / ln 2) Re sum_iml wt_li F_iml (D_j)_im (D_k)_ml with F the second ones.
         """
-        ev, vec, _ = self._decompose(rho)
-        wt = vec.conj().T @ self.w @ vec
+        mu, u = np.linalg.eigh(rho)
+        return self._newton_data(mu, u, u.conj().T @ _BASES[0] @ u)
+
+    def _newton_data(self, mu, u, d):
+        """pauli_newton_data at the rho with eigendecomposition (mu, u), and d = D_k."""
+        ev = self._regularized(mu)
+        wt = u.conj().T @ self.w @ u
         value = self.const - float(np.clip(np.diag(wt).real, 0.0, None) @ np.log2(ev))
-        d = vec.conj().T @ _BASES[0] @ vec
-        grad = -np.einsum("kij,ji->k", d, self._log_kernel(ev) * wt).real / LN2
-        x = np.einsum("jim,iml->jml", d, self._log_kernel2(ev) * wt.T[:, None, :])
-        hess = -(2.0 / LN2) * np.einsum("jml,kml->jk", x, d).real
+        kernel = self._log_kernel(ev)
+        flat = d.reshape(15, 16)
+        grad = -(flat @ (kernel * wt).T.reshape(16)).real / LN2
+        # x[m, j, l] = sum_i (D_j)_im F_iml wt_li, one product per m
+        x = d.transpose(2, 0, 1) @ (self._log_kernel2(ev, kernel) * wt.T[:, None, :]).swapaxes(0, 1)
+        hess = -(2.0 / LN2) * (x.swapaxes(0, 1).reshape(15, 16) @ flat.T).real
         return value, grad, (hess + hess.T) / 2.0
 
 
@@ -357,30 +370,39 @@ def _certify(objective, x, t, config, iterations):
 
 def _sigmas(x):
     """sigma and sigma^Gamma at Pauli coordinates x, stacked."""
-    return _MIXER + np.tensordot(x, _BASES, (0, 1))
+    return _MIXER + (x @ _BASES_FLAT).reshape(2, 4, 4)
 
 
-def _barrier_data(x, t, objective):
-    """Value, gradient and Hessian of t f(x) - ln det sigma - ln det sigma^Gamma at x."""
-    sigmas = _sigmas(x)
-    value, grad, hess = objective.pauli_newton_data(sigmas[0])
-    inv_bases = np.linalg.inv(sigmas)[:, None] @ _BASES  # sigma^-1 P_k / 4 in both blocks
-    value = t * value - float(np.log(np.linalg.eigvalsh(sigmas)).sum())
-    grad = t * grad - np.einsum("gkii->k", inv_bases).real
-    hess = t * hess + np.einsum("gjab,gkba->jk", inv_bases, inv_bases).real
+def _barrier_data(x, t, objective, eigen=None):
+    """Value, gradient and Hessian of t f(x) - ln det sigma - ln det sigma^Gamma at x.
+
+    eigen = (mu, u), the eigh of _sigmas(x), is used when given.  With D_gk = U_g^dagger
+    B_gk U_g in the eigenbasis U_g of block g (B_gk = _BASES[g, k]), the log-dets have gradient
+    -sum_ga (D_gk)_aa / mu_ga and Hessian sum_gab (D_gj)_ab (D_gk)_ba / (mu_ga mu_gb).
+    """
+    mu, u = np.linalg.eigh(_sigmas(x)) if eigen is None else eigen
+    # D_g = U_g^dagger B_g U_g as one product: (U^dagger B U)_ab = sum_ij B_ij conj(U_ia) U_jb
+    kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
+    d = (_BASES.reshape(2, 15, 16) @ kron).reshape(2, 15, 4, 4)
+    value, grad, hess = objective._newton_data(mu[0], u[0], d[0])
+    scaled = (d / np.sqrt(mu[:, None, :, None] * mu[:, None, None, :])).reshape(2, 15, 16)
+    value = t * value - float(np.log(mu).sum())
+    grad = t * grad - (np.diagonal(d, axis1=2, axis2=3).real / mu[:, None]).sum(axis=(0, 2))
+    hess = t * hess + (scaled @ scaled.conj().swapaxes(1, 2)).real.sum(axis=0)
     return value, grad, hess
 
 
 def _barrier_value(x, t, objective):
-    """t f(x) - ln det sigma - ln det sigma^Gamma, or inf unless both spectra stay above
-    EIGEN_KEEP_TOL (inside the PPT interior, and not singular to roundoff)."""
+    """t f(x) - ln det sigma - ln det sigma^Gamma and the eigh (mu, u) of _sigmas(x) it
+    read, or (inf, None) unless both spectra stay above EIGEN_KEEP_TOL (inside the PPT
+    interior, and not singular to roundoff)."""
     sigmas = _sigmas(x)
     if not np.isfinite(sigmas).all():
-        return math.inf
-    ev = np.linalg.eigvalsh(sigmas)
-    if not ev.min() > EIGEN_KEEP_TOL:
-        return math.inf
-    return t * objective.value(sigmas[0]) - float(np.log(ev).sum())
+        return math.inf, None
+    mu, u = np.linalg.eigh(sigmas)
+    if not mu.min() > EIGEN_KEEP_TOL:
+        return math.inf, None
+    return t * objective.value(sigmas[0], (mu[0], u[0])) - float(np.log(mu).sum()), (mu, u)
 
 
 def er_numeric(w, config=None):
@@ -422,7 +444,7 @@ def er_numeric(w, config=None):
         if value - lower <= config.gap_tol:
             return ErEstimate(value, argmin, True, iterations, lower)
 
-    x, t = np.zeros(15), BARRIER_START
+    x, t, eigen = np.zeros(15), BARRIER_START, None
     value, grad, hess = _barrier_data(x, t, objective)
     while iterations < config.max_iter:
         step = np.linalg.solve(hess, -grad)
@@ -435,15 +457,16 @@ def er_numeric(w, config=None):
                 if estimate.converged:
                     return estimate
             t *= BARRIER_GROWTH
-            value, grad, hess = _barrier_data(x, t, objective)
+            value, grad, hess = _barrier_data(x, t, objective, eigen)
             step = np.linalg.solve(hess, -grad)
             decrement = -float(grad @ step)
         iterations += 1
-        # backtracking; a point outside the PPT interior has an infinite barrier value
+        # backtracking (inf outside the PPT interior); an accepted trial hands on its eigh
         for size in 0.5 ** np.arange(LINE_SEARCH_STEPS):
-            if _barrier_value(x + size * step, t, objective) <= value - 0.25 * size * decrement:
-                x = x + size * step
-                value, grad, hess = _barrier_data(x, t, objective)
+            trial, trial_eigen = _barrier_value(x + size * step, t, objective)
+            if trial <= value - 0.25 * size * decrement:
+                x, eigen = x + size * step, trial_eigen
+                value, grad, hess = _barrier_data(x, t, objective, eigen)
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma
             break

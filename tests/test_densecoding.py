@@ -23,6 +23,7 @@ from densecap import (
     optimize_gdc_probs,
     pure_schmidt,
     random_state,
+    relative_entropy,
     sdc_average_check,
     sdc_letters,
     werner,
@@ -266,6 +267,21 @@ class TestDistinguishability:
         delta = distinguishability(ensemble)
         assert abs(delta - DELTA_WERNER_075) < 1e-12
         assert delta >= capacity(ensemble) - 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(w0=st.one_of(
+        st.just(bell("phi+")),
+        st.builds(lambda seed, rank: random_state(seed=seed, rank=rank),
+                  st.integers(0, 2**32 - 1), st.integers(1, 4)),
+    ))
+    def test_equals_the_pairwise_relative_entropies(self, w0):
+        # each letter is decomposed once, yet the sum is the same to the last bit (inf for a
+        # Bell state, whose letters are orthogonal pure states)
+        ensemble = sdc_letters(w0)
+        p, letters = ensemble.probs, ensemble.letters
+        expected = sum(p[i] * p[j] * relative_entropy(letters[i], letters[j])
+                       for i, j in itertools.permutations(range(4), 2))
+        assert distinguishability(ensemble) == expected
 
     def test_upper_bounds_capacity_on_random_ensembles(self):
         rng = np.random.default_rng(4242)

@@ -119,6 +119,20 @@ class TestProductDecomposition:
             assert np.linalg.svd(v.reshape(2, 2), compute_uv=False)[1] < 1e-12
         assert np.all(ansatz.weights >= 0.0) and abs(ansatz.weights.sum() - 1.0) < 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mixtures_of_two_product_factors(self, seed):
+        # p |a><a| x rho_B + (1 - p) rho_A x |b><b| has Takagi values (l, l, 0, 0) to roundoff,
+        # whose closure angle sits at pi: its cosine form lost ~1e-8 of angle to cancellation
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        a, b = raw[:2] / np.linalg.norm(raw[:2], axis=1, keepdims=True)
+        rho_a, rho_b = (g.T @ g.conj() / np.vdot(g, g).real for g in (raw[2:4], raw[4:]))
+        p = rng.uniform()
+        pure_a, pure_b = np.outer(a, a.conj()), np.outer(b, b.conj())
+        rho = p * tensor(pure_a, rho_b) + (1 - p) * tensor(rho_a, pure_b)
+        assert np.abs(product_decomposition(rho).state() - rho).max() < 1e-12
+
 
 class TestErNumeric:
     def test_ppt_states_give_zero(self):
@@ -248,9 +262,24 @@ def interior_point(rng, k=6):
     return np.array([np.trace(sigma @ p).real for p in 4 * separable._BASES[0]])
 
 
+def near_boundary_point(rng, floor=1e-8):
+    """Pauli coordinates on the segment from an interior point to |phi+><phi+| (entangled)
+    where the smallest eigenvalue of sigma^Gamma, concave along it, has fallen to floor."""
+    x, bell_x = interior_point(rng), np.zeros(15)
+    bell_x[[6, 10, 14]] = 1.0, -1.0, 1.0  # |phi+><phi+| = (I + XX - YY + ZZ) / 4
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.eigvalsh(_sigmas(x + mid * (bell_x - x))[1]).min() > floor:
+            lo = mid
+        else:
+            hi = mid
+    return x + lo * (bell_x - x)
+
+
 class TestPauliDerivatives:
     @staticmethod
-    def assert_matches_central_differences(fun, x, h):
+    def assert_matches_central_differences(fun, x, h, rtol=1e-7):
         value, grad, hess = fun(x)
         fd_grad, fd_hess = np.zeros_like(grad), np.zeros_like(hess)
         for k in range(len(x)):
@@ -258,8 +287,8 @@ class TestPauliDerivatives:
             e[k] = h
             fd_grad[k] = (fun(x + e)[0] - fun(x - e)[0]) / (2 * h)
             fd_hess[k] = (fun(x + e)[1] - fun(x - e)[1]) / (2 * h)
-        assert np.abs(grad - fd_grad).max() <= 1e-7 * np.abs(grad).max()
-        assert np.abs(hess - fd_hess).max() <= 1e-7 * np.abs(hess).max()
+        assert np.abs(grad - fd_grad).max() <= rtol * np.abs(grad).max()
+        assert np.abs(hess - fd_hess).max() <= rtol * np.abs(hess).max()
 
     def test_second_block_is_the_partial_transpose(self):
         x = interior_point(np.random.default_rng(69))
@@ -300,6 +329,42 @@ class TestPauliDerivatives:
             self.assert_matches_central_differences(
                 lambda y: _barrier_data(y, t, objective), x, 1e-6
             )
+        # sigma^Gamma's smallest eigenvalue at 1e-8: the steps must stay well inside it, and
+        # that eigenvalue's own roundoff (~1e-16, so ~1e-8 in ln det) caps what central
+        # differences resolve at a few 1e-6 of the gradient and Hessian scales (1e8 and 1e16)
+        x = near_boundary_point(rng)
+        assert np.linalg.eigvalsh(_sigmas(x)[1]).min() == pytest.approx(1e-8, rel=1e-6)
+        self.assert_matches_central_differences(
+            lambda y: _barrier_data(y, t, objective), x, 5e-11, rtol=3e-5
+        )
+
+
+def value_sorted_log_kernel2(ev):
+    """ln[ev_i, ev_k, ev_j] with each triple sorted by value, as a reference."""
+    a, b, c = np.moveaxis(np.sort(np.stack(np.broadcast_arrays(
+        ev[:, None, None], ev[None, :, None], ev[None, None, :]), axis=-1)), -1, 0)
+    near = c - a <= 1e-5 * c
+    spread = np.where(near, -1.0, a - c)
+    return np.where(near, -4.5 / (a + b + c) ** 2,
+                    (separable._ln_divided(a, b) - separable._ln_divided(b, c)) / spread)
+
+
+class TestLogKernel2:
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.one_of(st.just(0.0), st.floats(1e-16, 1.0)),
+           steps=st.lists(st.tuples(st.sampled_from(["tie", "near", "far"]), st.floats(0.0, 1.0)),
+                          min_size=3, max_size=3))
+    def test_index_tables_match_the_value_sort(self, start, steps):
+        # ascending, as eigh returns it: exact ties, near-ties (spread below 1e-5 of the
+        # largest, the mean-value branch), and a zero start clipped to 1e-300 as in _regularized
+        ev = [start]
+        for kind, u in steps:
+            ev.append(ev[-1] + {"tie": 0.0, "near": 1e-7 * u * ev[-1], "far": 0.1 + u}[kind])
+        ev = np.clip(np.array(ev), 1e-300, None)
+        with np.errstate(divide="ignore", over="ignore"):  # a triple of 1e-300s: -4.5 / 0
+            got = _Objective._log_kernel2(ev, _Objective._log_kernel(ev))
+            want = value_sorted_log_kernel2(ev)
+        assert np.array_equal(got, want)
 
 
 class TestErNumericProperties:
