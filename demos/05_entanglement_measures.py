@@ -2,9 +2,9 @@
 
 E_F comes from the concurrence closed form; E_R from minimizing relative
 entropy over the separable states.  The minimizer returns a proved
-interval [lower, value]: value is attained by a mixture of product states,
-and lower comes from the barrier solve's dual, so the closed form must sit
-inside it.  The last column is the interval's width, value - lower.
+interval [lower, value]: value is the relative entropy to a PPT, hence
+separable, state (a mixture of product states), and lower comes from the
+barrier solve's dual, so the closed form must sit inside it.  The last column is the interval's width, value - lower.
 """
 from densecap import (
     bell_diagonal,

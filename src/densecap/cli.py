@@ -107,13 +107,13 @@ def cmd_measures(args):
 
 
 def cmd_verify(args):
-    if args.state:
+    if (args.state is None) == (args.random is None):
+        raise DensecapError("verify takes exactly one of --state and --random N")
+    if args.state is not None:
         rho, family, params = parse_state_arg(args.state)
         report = check_bounds(rho, family=family, params=params)
         _emit(report.to_dict())
         return 0 if report.passed else 1
-    if args.random is None:
-        raise DensecapError("verify needs --state or --random N")
     ranks = (args.rank,) if args.rank else (1, 2, 3, 4)
     summary, reports = run_campaign(args.random, seed=args.seed, ranks=ranks)
     payload = {

@@ -33,8 +33,8 @@ def entropy_of_eigenvalues(eigenvalues):
 
 
 def von_neumann(rho):
-    """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits."""
-    rho = validate_state(rho)
+    """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits, of a qubit or two-qubit state."""
+    rho = validate_state(rho, sizes=(2, 4))
     return _clamp(entropy_of_eigenvalues(np.linalg.eigvalsh(rho)))
 
 
@@ -44,8 +44,8 @@ def relative_entropy(sigma, rho):
     Returns +inf exactly when sigma has weight above 1e-10 in the kernel of
     rho (eigenvalues below 1e-12).
     """
-    sigma = validate_state(sigma, "sigma")
-    rho = validate_state(rho, "rho")
+    sigma = validate_state(sigma, "sigma", sizes=(2, 4))
+    rho = validate_state(rho, "rho", sizes=(2, 4))
     if sigma.shape != rho.shape:
         raise InvalidState(f"dimension mismatch {sigma.shape} vs {rho.shape}")
 
@@ -77,7 +77,9 @@ class LetterEnsemble:
         probs = check_simplex(self.probs, n=len(self.letters))
         object.__setattr__(self, "probs", probs)
         for i, w in enumerate(self.letters):
-            validate_state(w, f"letter {i}")
+            validate_state(w, f"letter {i}", sizes=(2, 4))
+        if len({w.shape for w in self.letters}) > 1:
+            raise InvalidState("letters mix single-qubit and two-qubit states")
 
     def average(self):
         """The mixture sum_i p_i W_i sent over the channel."""

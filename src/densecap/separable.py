@@ -4,11 +4,10 @@ For two qubits the separable states are exactly the PPT states (Horodecki,
 Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
 {sigma > 0, sigma^Gamma > 0}: a smooth convex problem in the 15 Pauli
 coordinates of sigma, solved by a path-following log-det barrier method
-with Newton centering steps.  The final sigma is written as <= 4 product
-pure states (a SeparableAnsatz, by the spin-flip/Takagi construction); the
-value at that explicit mixture is an upper bound on E_R.  The lower bound
-comes from the barrier's own dual matrix at the same point, by convexity
-(see _certify), so no search over product states is needed.
+with Newton centering steps, each point evaluated once (a _Point).  The
+final sigma is PPT, so the value there bounds E_R from above, and the
+barrier's dual matrix at the same point bounds it from below (_certify).
+sigma is also written as <= 4 product pure states (a SeparableAnsatz).
 
 PPT states exit at their exact product decomposition (lower bound 0), pure
 states at their Schmidt terms (lower bound S(rho_B), which is E_R there).
@@ -49,9 +48,7 @@ _GAMMA_SIGNS = np.array([1, 1, 1, 1, -1, 1] + [1, -1, 1] * 3)[:, None, None]
 _BASES = np.stack([PAULI_PRODUCTS, PAULI_PRODUCTS * _GAMMA_SIGNS]) / 4.0
 _BASES_FLAT = _BASES.swapaxes(0, 1).reshape(15, 32)  # row k: both blocks' P_k / 4, flattened
 
-_HADAMARD4 = 0.5 * np.array(
-    [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
-)
+_HADAMARD4 = 0.5 * np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])  # H x H, exact in floats
 
 
 # ---------------------------------------------------------------------------
@@ -102,19 +99,15 @@ def takagi(tau):
     evals, evecs = np.linalg.eigh(big)
     cut = 1e-13 * max(np.abs(evals).max(), 1.0)
 
-    cols, lams = [], []
-    for i in range(2 * r):
-        if evals[i] > cut:
-            cols.append(evecs[:r, i] + 1j * evecs[r:, i])
-            lams.append(float(evals[i]))
+    keep = evals > cut
+    cols, lams = list((evecs[:r] + 1j * evecs[r:])[:, keep].T), list(evals[keep])
 
     # zero Takagi values: any orthonormal completion u of the columns above has
     # tau conj(u) = sum_i lam_i v_i (v_i^dagger u)^* = 0, so Gram-Schmidt on the standard
     # basis supplies them (error stays at the cut scale)
-    for e in np.eye(r, dtype=complex):
+    for u in np.eye(r, dtype=complex):
         if len(cols) == r:
             break
-        u = e.copy()
         for c in cols:
             u = u - np.vdot(c, u) * c
         norm = np.linalg.norm(u)
@@ -123,9 +116,7 @@ def takagi(tau):
             lams.append(0.0)
 
     order = np.argsort(lams)[::-1]
-    lam = np.array([lams[i] for i in order])
-    v = np.column_stack([cols[i] for i in order])
-    return lam, v
+    return np.array(lams)[order], np.column_stack(cols)[:, order]
 
 
 def _closure_phases(lam):
@@ -249,29 +240,23 @@ class _Objective:
         return np.where(near, -4.5 / (a + b + c) ** 2,
                         (kernel[_LO, _MID] - kernel[_MID, _HI]) / spread)
 
-    def pauli_newton_data(self, rho):
-        """Value, gradient and Hessian of f(x) = S(W || rho) in the coordinates rho = I/4 +
-        sum_k x_k P_k / 4.
+    def _newton_data(self, mu, u, d):
+        """Gradient and Hessian of f(x) = S(W || rho) in the coordinates rho = I/4 +
+        sum_k x_k P_k / 4, at the rho with eigendecomposition (mu, u), and d = D_k.
 
         With D_k = U^dagger P_k U / 4 in the eigenbasis U of rho and wt = U^dagger W U:
         g_k = -Tr[D_k (K o wt)] / ln 2 with K the first divided differences of ln, and
         H_jk = -(2 / ln 2) Re sum_iml wt_li F_iml (D_j)_im (D_k)_ml with F the second ones.
         """
-        mu, u = np.linalg.eigh(rho)
-        return self._newton_data(mu, u, u.conj().T @ _BASES[0] @ u)
-
-    def _newton_data(self, mu, u, d):
-        """pauli_newton_data at the rho with eigendecomposition (mu, u), and d = D_k."""
         ev = self._regularized(mu)
         wt = u.conj().T @ self.w @ u
-        value = self.const - float(np.clip(np.diag(wt).real, 0.0, None) @ np.log2(ev))
         kernel = self._log_kernel(ev)
         flat = d.reshape(15, 16)
         grad = -(flat @ (kernel * wt).T.reshape(16)).real / LN2
         # x[m, j, l] = sum_i (D_j)_im F_iml wt_li, one product per m
         x = d.transpose(2, 0, 1) @ (self._log_kernel2(ev, kernel) * wt.T[:, None, :]).swapaxes(0, 1)
         hess = -(2.0 / LN2) * (x.swapaxes(0, 1).reshape(15, 16) @ flat.T).real
-        return value, grad, (hess + hess.T) / 2.0
+        return grad, (hess + hess.T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +288,9 @@ class ErConfig:
 class ErEstimate:
     """Proved interval [lower, value] on the relative entropy of entanglement, in bits.
 
-    value = S(W || argmin.state()) is attained by an explicit separable mixture, so it
-    is an upper bound; lower is a proved lower bound (see er_numeric).  converged means
-    gap = value - lower is at most the configured gap_tol.
+    value is the objective at a separable state (see er_numeric), so it is an upper bound;
+    argmin writes that state as <= 4 product pure states.  lower is a proved lower bound.
+    converged means gap = value - lower is at most the configured gap_tol.
     """
 
     value: float
@@ -327,99 +312,98 @@ def _schmidt_mixture(w):
     return SeparableAnsatz(sv**2 / (sv**2).sum(), vectors)
 
 
-def _certify(objective, x, t, config, iterations):
-    """Estimate at the product mixture of sigma_x, with a lower bound from the barrier's dual.
-
-    sigma = argmin.state() is separable, so value = f(sigma) >= E_R, with f the regularized
-    objective.  Let G = sum_k g_k P_k / (1 + REG_EPS), with g the Pauli gradient that
-    pauli_newton_data returns at sigma: the gradient matrix of f less a multiple of the
-    identity, which would shift Tr[G sigma] and lambda_min(G - s Z) alike (Tr sigma = 1).
-    Let Z = Gamma[(sigma_x^Gamma)^-1] / t be the barrier's dual matrix.  Every separable tau
-    has Tr[Z tau] = Tr[(sigma_x^Gamma)^-1 tau^Gamma] / t >= 0, so for each s >= 0 convexity
-    gives f(tau) >= value - Tr[G sigma] + Tr[(G - s Z) tau] >= value - Tr[G sigma] +
-    lambda_min(G - s Z), and S(W || tau) >= f(tau) - log2(1 + REG_EPS).  Any s gives a valid
-    bound; the best (1 at an exact center) is bracketed by doubling from 1, then bisected on
-    the slope -<v|Z|v> of the concave lambda_min(G - s Z).  DUAL_ROUNDOFF covers roundoff in
-    the 4x4 algebra.
-    """
-    argmin = product_decomposition(_sigmas(x)[0])
-    sigma = argmin.state()
-    value, pauli_grad, _ = objective.pauli_newton_data(sigma)
-    grad = np.tensordot(pauli_grad, PAULI_PRODUCTS, 1) / (1.0 + REG_EPS)
-    # inverted through its eigenbasis, which keeps the inverse positive definite: an LU
-    # inverse of the near-singular sigma_x^Gamma loses the dual's weak directions to roundoff
-    # (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7 that are 4e-10 to 5e-8 this way)
-    mu, basis = np.linalg.eigh(_sigmas(x)[1])
-    dual = partial_transpose((basis / mu) @ basis.conj().T) / t
-    lo, hi, floor, s, best = 0.0, math.inf, -math.inf, 1.0, 1.0
-    for _ in range(DUAL_STEPS):
-        ev, vec = np.linalg.eigh(grad - s * dual)
-        if ev[0] > floor:
-            floor, best = float(ev[0]), s
-        if (vec[:, 0].conj() @ dual @ vec[:, 0]).real < 0.0:  # lambda_min still rises with s
-            lo = s
-        else:
-            hi = s
-        s = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
-    margin = DUAL_ROUNDOFF * float(np.abs(grad).sum() + best * np.abs(dual).sum())
-    lower = (value - float(np.einsum("ij,ji->", grad, sigma).real) + floor
-             - math.log2(1.0 + REG_EPS) - margin)
-    value, lower = max(value, 0.0), max(lower, 0.0)
-    return ErEstimate(value, argmin, value - lower <= config.gap_tol, iterations, lower)
-
-
 def _sigmas(x):
     """sigma and sigma^Gamma at Pauli coordinates x, stacked."""
     return _MIXER + (x @ _BASES_FLAT).reshape(2, 4, 4)
 
 
-def _barrier_data(x, t, objective, eigen=None):
-    """Value, gradient and Hessian of t f(x) - ln det sigma - ln det sigma^Gamma at x.
+class _Point:
+    """A barrier point from one stacked eigh (mu, u) of [sigma, sigma^Gamma]: the objective f
+    (inf unless both spectra exceed EIGEN_KEEP_TOL) and logdet = ln det sigma + ln det sigma^Gamma.
+    differentiate adds grad and hess as [objective, barrier -logdet], for newton to weigh by t."""
 
-    eigen = (mu, u), the eigh of _sigmas(x), is used when given.  With D_gk = U_g^dagger
-    B_gk U_g in the eigenbasis U_g of block g (B_gk = _BASES[g, k]), the log-dets have gradient
-    -sum_ga (D_gk)_aa / mu_ga and Hessian sum_gab (D_gj)_ab (D_gk)_ba / (mu_ga mu_gb).
+    def __init__(self, x, objective):
+        self.x, sigmas, self.f, self.logdet = x, _sigmas(x), math.inf, 0.0
+        if np.isfinite(sigmas).all():
+            self.mu, self.u = np.linalg.eigh(sigmas)
+            if self.mu.min() > EIGEN_KEEP_TOL:
+                self.f = objective.value(sigmas[0], (self.mu[0], self.u[0]))
+                self.logdet = float(np.log(self.mu).sum())
+
+    def differentiate(self, objective):
+        """Fill in grad and hess and return the point.  With D_gk = U_g^dagger B_gk U_g in the
+        eigenbasis U_g of block g (B_gk = _BASES[g, k]), the log-dets have gradient
+        -sum_ga (D_gk)_aa / mu_ga and Hessian sum_gab (D_gj)_ab (D_gk)_ba / (mu_ga mu_gb)."""
+        mu, u = self.mu, self.u
+        # D_g = U_g^dagger B_g U_g as one product: (U^dagger B U)_ab = sum_ij B_ij conj(U_ia) U_jb
+        kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
+        d = (_BASES.reshape(2, 15, 16) @ kron).reshape(2, 15, 4, 4)
+        grad, hess = objective._newton_data(mu[0], u[0], d[0])
+        scaled = (d / np.sqrt(mu[:, None, :, None] * mu[:, None, None, :])).reshape(2, 15, 16)
+        diag = np.diagonal(d, axis1=2, axis2=3).real / mu[:, None]
+        self.grad = np.stack([grad, -diag.sum(axis=(0, 2))])
+        self.hess = np.stack([hess, (scaled @ scaled.conj().swapaxes(1, 2)).real.sum(axis=0)])
+        return self
+
+    def newton(self, t):
+        """Barrier value t f - logdet, Newton step and Newton decrement at weight t."""
+        grad, hess = t * self.grad[0] + self.grad[1], t * self.hess[0] + self.hess[1]
+        step = np.linalg.solve(hess, -grad)
+        return t * self.f - self.logdet, step, -float(grad @ step)
+
+
+def _certify(point, t, config, iterations):
+    """Estimate at a differentiated point: value = f(sigma) >= E_R, sigma being PPT.
+
+    G = sum_k g_k P_k / (1 + REG_EPS), from the point's Pauli gradient g, is f's gradient
+    matrix less a multiple of I (which would shift Tr[G sigma] = g.x / (1 + REG_EPS) and
+    lambda_min(G - s Z) alike).  The dual Z = Gamma[(sigma^Gamma)^-1] / t has Tr[Z tau] >= 0
+    on separable tau, so convexity gives S(W || tau) >= f(tau) - log2(1 + REG_EPS) >= value -
+    Tr[G sigma] + lambda_min(G - s Z) - log2(1 + REG_EPS) for each s >= 0.  The concave
+    lambda_min(G - s Z) is bracketed by doubling s from 1, then bisected on its slope -<v|Z|v>.
+    The eigenvector v at the last rising s_lo caps it by lambda(s_lo) - <v|Z|v> (s - s_lo), so
+    the search stops once that cap at the bracket's top is within the roundoff margin
+    (DUAL_ROUNDOFF, per unit of the matrices' entries) of the best floor.
     """
-    mu, u = np.linalg.eigh(_sigmas(x)) if eigen is None else eigen
-    # D_g = U_g^dagger B_g U_g as one product: (U^dagger B U)_ab = sum_ij B_ij conj(U_ia) U_jb
-    kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
-    d = (_BASES.reshape(2, 15, 16) @ kron).reshape(2, 15, 4, 4)
-    value, grad, hess = objective._newton_data(mu[0], u[0], d[0])
-    scaled = (d / np.sqrt(mu[:, None, :, None] * mu[:, None, None, :])).reshape(2, 15, 16)
-    value = t * value - float(np.log(mu).sum())
-    grad = t * grad - (np.diagonal(d, axis1=2, axis2=3).real / mu[:, None]).sum(axis=(0, 2))
-    hess = t * hess + (scaled @ scaled.conj().swapaxes(1, 2)).real.sum(axis=0)
-    return value, grad, hess
-
-
-def _barrier_value(x, t, objective):
-    """t f(x) - ln det sigma - ln det sigma^Gamma and the eigh (mu, u) of _sigmas(x) it
-    read, or (inf, None) unless both spectra stay above EIGEN_KEEP_TOL (inside the PPT
-    interior, and not singular to roundoff)."""
-    sigmas = _sigmas(x)
-    if not np.isfinite(sigmas).all():
-        return math.inf, None
-    mu, u = np.linalg.eigh(sigmas)
-    if not mu.min() > EIGEN_KEEP_TOL:
-        return math.inf, None
-    return t * objective.value(sigmas[0], (mu[0], u[0])) - float(np.log(mu).sum()), (mu, u)
+    argmin = product_decomposition(_sigmas(point.x)[0])
+    grad = np.tensordot(point.grad[0], PAULI_PRODUCTS, 1) / (1.0 + REG_EPS)
+    # inverted through its eigenbasis: an LU inverse of the near-singular sigma^Gamma loses the
+    # dual's weak directions (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7, not 4e-10 to 5e-8)
+    dual = partial_transpose((point.u[1] / point.mu[1]) @ point.u[1].conj().T) / t
+    norms = float(np.abs(grad).sum()), float(np.abs(dual).sum())
+    lo, hi, floor, s, best, rise = 0.0, math.inf, -math.inf, 1.0, 1.0, None
+    for _ in range(DUAL_STEPS):
+        ev, vec = np.linalg.eigh(grad - s * dual)
+        slope = -float((vec[:, 0].conj() @ dual @ vec[:, 0]).real)
+        if ev[0] > floor:
+            floor, best = float(ev[0]), s
+        if slope > 0.0:  # lambda_min still rises with s
+            lo, rise = s, (float(ev[0]), slope)
+        else:
+            hi = s
+        margin = DUAL_ROUNDOFF * (norms[0] + best * norms[1])
+        if rise is not None and rise[0] + rise[1] * (hi - lo) - floor <= margin:
+            break
+        s = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
+    lower = (point.f - float(point.grad[0] @ point.x) / (1.0 + REG_EPS) + floor
+             - math.log2(1.0 + REG_EPS) - margin)
+    value, lower = max(point.f, 0.0), max(lower, 0.0)
+    return ErEstimate(value, argmin, value - lower <= config.gap_tol, iterations, lower)
 
 
 def er_numeric(w, config=None):
     """Proved interval [lower, value] on the relative entropy of entanglement of w, in bits.
 
-    PPT states exit at their exact product decomposition (lower 0, no
-    iteration) and pure states at their Schmidt terms (lower S(rho_B), one
-    iteration).  Otherwise a path-following barrier method minimizes
-    t S(W || sigma) - ln det sigma - ln det sigma^Gamma over the Pauli
-    coordinates of sigma, starting from sigma = I/4 and t = BARRIER_START and
-    multiplying t by BARRIER_GROWTH after each centering; every Newton step
-    is one iteration against config.max_iter.  Once BARRIER_NU / t <= gap_tol
-    / BARRIER_GROWTH, each centered sigma is written as <= 4 product states
-    and bounded from below by _certify, and the solve returns as soon as
-    value - lower <= gap_tol.  It also ends when the budget is spent or no
-    Newton step descends (the roundoff floor), unconverged unless the
-    interval is that narrow.  value is S(W || argmin.state()).  Deterministic.
+    PPT states exit at their exact product decomposition (lower 0, no iteration) and
+    pure states at their Schmidt terms (lower S(rho_B), one iteration).  Otherwise a
+    path-following barrier method minimizes t S(W || sigma) - ln det sigma - ln det
+    sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4 and t = BARRIER_START,
+    multiplying t by BARRIER_GROWTH after each centering; each Newton step is one iteration
+    against config.max_iter.  Once BARRIER_NU / t <= gap_tol / BARRIER_GROWTH, each centered
+    point goes to _certify, and the solve returns once value - lower <= gap_tol.  It also
+    ends when the budget is spent or no step descends (the roundoff floor).  value is the
+    objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
+    product states.  Deterministic.
     """
     config = config or ErConfig()
     w = validate_state(w)
@@ -444,30 +428,25 @@ def er_numeric(w, config=None):
         if value - lower <= config.gap_tol:
             return ErEstimate(value, argmin, True, iterations, lower)
 
-    x, t, eigen = np.zeros(15), BARRIER_START, None
-    value, grad, hess = _barrier_data(x, t, objective)
+    t, point = BARRIER_START, _Point(np.zeros(15), objective).differentiate(objective)  # I/4
     while iterations < config.max_iter:
-        step = np.linalg.solve(hess, -grad)
-        decrement = -float(grad @ step)
+        value, step, decrement = point.newton(t)
         if not decrement > CENTERING_TOL * max(1.0, abs(value)):  # centered at this t
             # one growth past the barrier's own bound BARRIER_NU / t <= gap_tol: the value then
             # sits about gap_tol / BARRIER_GROWTH above E_R, and the interval is checked once
             if BARRIER_NU / t <= config.gap_tol / BARRIER_GROWTH:
-                estimate = _certify(objective, x, t, config, iterations)
+                estimate = _certify(point, t, config, iterations)
                 if estimate.converged:
                     return estimate
             t *= BARRIER_GROWTH
-            value, grad, hess = _barrier_data(x, t, objective, eigen)
-            step = np.linalg.solve(hess, -grad)
-            decrement = -float(grad @ step)
+            value, step, decrement = point.newton(t)
         iterations += 1
-        # backtracking (inf outside the PPT interior); an accepted trial hands on its eigh
+        # backtracking (inf outside the PPT interior); only an accepted trial is differentiated
         for size in 0.5 ** np.arange(LINE_SEARCH_STEPS):
-            trial, trial_eigen = _barrier_value(x + size * step, t, objective)
-            if trial <= value - 0.25 * size * decrement:
-                x, eigen = x + size * step, trial_eigen
-                value, grad, hess = _barrier_data(x, t, objective, eigen)
+            trial = _Point(point.x + size * step, objective)
+            if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
+                point = trial.differentiate(objective)
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma
             break
-    return _certify(objective, x, t, config, iterations)
+    return _certify(point, t, config, iterations)

@@ -37,11 +37,13 @@ def projector(vec):
     return np.outer(vec, vec.conj())
 
 
-def validate_state(rho, name="state"):
-    """Check the density-matrix invariants, returning rho as complex ndarray."""
+def validate_state(rho, name="state", sizes=(4,)):
+    """Check the density-matrix invariants of an n x n matrix, n in sizes (a two-qubit state
+    unless told otherwise), returning rho as complex ndarray."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape not in ((2, 2), (4, 4)):
-        raise InvalidState(f"{name}: expected 2x2 or 4x4, got {rho.shape}")
+    if rho.shape not in [(n, n) for n in sizes]:
+        expected = " or ".join(f"{n}x{n}" for n in sizes)
+        raise InvalidState(f"{name}: expected {expected}, got {rho.shape}")
     herm_err = np.abs(rho - rho.conj().T).max()
     # any inf or nan entry makes the residual inf or nan, so one scalar test finds it
     if not math.isfinite(herm_err):

@@ -25,8 +25,8 @@ from densecap.separable import (
     REG_EPS,
     ErConfig,
     SeparableAnsatz,
-    _barrier_data,
     _Objective,
+    _Point,
     _sigmas,
     product_decomposition,
     product_vector,
@@ -164,13 +164,16 @@ class TestErNumeric:
         estimate = er_numeric(bell("phi+"), FAST)
         assert abs(estimate.value - 1.0) < 1e-3
 
-    def test_ansatz_is_valid_and_separable(self):
-        estimate = er_numeric(lambda_b(0.7), FAST)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+    def test_ansatz_is_valid_and_separable(self, seed, rank):
+        w_state = random_state(seed=seed, rank=rank)
+        estimate = er_numeric(w_state)
         rho = validate_state(estimate.argmin.state())
         assert is_ppt(rho)
         assert abs(estimate.argmin.weights.sum() - 1.0) < 1e-12
-        # the reported value is attained by the reported mixture
-        assert abs(relative_entropy(lambda_b(0.7), rho) - estimate.value) < 1e-6
+        # the reported value is attained by the reported mixture, to roundoff
+        assert abs(relative_entropy(w_state, rho) - estimate.value) <= 1e-11
 
     def test_deterministic_per_config(self):
         a = er_numeric(werner(0.7), FAST)
@@ -277,6 +280,24 @@ def near_boundary_point(rng, floor=1e-8):
     return x + lo * (bell_x - x)
 
 
+def objective_data(objective):
+    """f, its Pauli gradient and its Hessian at y, read from the point record."""
+    def fun(y):
+        point = _Point(y, objective).differentiate(objective)
+        return point.f, point.grad[0], point.hess[0]
+    return fun
+
+
+def barrier_data(objective, t):
+    """t f - ln det sigma - ln det sigma^Gamma with its Pauli gradient and Hessian at y,
+    recombined from the point record's two parts as a growth of t recombines them."""
+    def fun(y):
+        point = _Point(y, objective).differentiate(objective)
+        return (t * point.f - point.logdet, t * point.grad[0] + point.grad[1],
+                t * point.hess[0] + point.hess[1])
+    return fun
+
+
 class TestPauliDerivatives:
     @staticmethod
     def assert_matches_central_differences(fun, x, h, rtol=1e-7):
@@ -301,11 +322,9 @@ class TestPauliDerivatives:
         for rank in (1, 2, 3, 4):
             objective = _Objective(random_state(seed=(70, rank), rank=rank))
             x = interior_point(rng)
-            value, _, _ = objective.pauli_newton_data(_sigmas(x)[0])
-            assert value == pytest.approx(objective.value(_sigmas(x)[0]), abs=1e-12)
-            self.assert_matches_central_differences(
-                lambda y: objective.pauli_newton_data(_sigmas(y)[0]), x, 1e-6
-            )
+            # the stacked eigh gives sigma the spectrum a lone one does
+            assert _Point(x, objective).f == pytest.approx(objective.value(_sigmas(x)[0]), abs=1e-12)
+            self.assert_matches_central_differences(objective_data(objective), x, 1e-6)
 
     def test_objective_on_degenerate_spectra(self):
         # I/4: every triple of eigenvalues coincides; diag(.4, .1, .1, .4): pairs coincide;
@@ -317,26 +336,20 @@ class TestPauliDerivatives:
         for x in (np.zeros(15), x_pairs, x_triple):
             for rank in (1, 4):
                 objective = _Objective(random_state(seed=(71, rank), rank=rank))
-                self.assert_matches_central_differences(
-                    lambda y: objective.pauli_newton_data(_sigmas(y)[0]), x, 1e-5
-                )
+                self.assert_matches_central_differences(objective_data(objective), x, 1e-5)
 
     @pytest.mark.parametrize("t", [0.0, 1e3])
     def test_barrier(self, t):
         rng = np.random.default_rng(72)
         objective = _Objective(random_state(seed=72, rank=2))
         for x in (np.zeros(15), interior_point(rng), interior_point(rng)):
-            self.assert_matches_central_differences(
-                lambda y: _barrier_data(y, t, objective), x, 1e-6
-            )
+            self.assert_matches_central_differences(barrier_data(objective, t), x, 1e-6)
         # sigma^Gamma's smallest eigenvalue at 1e-8: the steps must stay well inside it, and
         # that eigenvalue's own roundoff (~1e-16, so ~1e-8 in ln det) caps what central
         # differences resolve at a few 1e-6 of the gradient and Hessian scales (1e8 and 1e16)
         x = near_boundary_point(rng)
         assert np.linalg.eigvalsh(_sigmas(x)[1]).min() == pytest.approx(1e-8, rel=1e-6)
-        self.assert_matches_central_differences(
-            lambda y: _barrier_data(y, t, objective), x, 5e-11, rtol=3e-5
-        )
+        self.assert_matches_central_differences(barrier_data(objective, t), x, 5e-11, rtol=3e-5)
 
 
 def value_sorted_log_kernel2(ev):
@@ -394,17 +407,17 @@ class TestErNumericProperties:
 def grid_gap(w_state, estimate, points=100_000):
     """Conditional-gradient gap Tr[G sigma] - min Tr[G P] over product states P at the
     returned mixture sigma, G = sum_k g_k P_k / (1 + REG_EPS) the objective's gradient matrix
-    (less its multiple of the identity, which cancels) from the Pauli gradient g, with the
-    minimum taken over a random sphere grid of Bob directions, each at its exact best Alice
-    one: P = (I + a.sigma)/2 x (I + b.sigma)/2 has Tr[-G P] = (a.r + b.s + a.T b) / 4."""
-    sigma = estimate.argmin.state()
-    _, grad, _ = _Objective(w_state).pauli_newton_data(sigma)
-    coeffs = -4.0 * grad / (1.0 + REG_EPS)  # Tr[-G P_k]
+    (less its multiple of the identity, which cancels) from the Pauli gradient g of the point
+    record at sigma, with the minimum taken over a random sphere grid of Bob directions, each
+    at its exact best Alice one: P = (I + a.sigma)/2 x (I + b.sigma)/2 has Tr[-G P] =
+    (a.r + b.s + a.T b) / 4."""
+    objective = _Objective(w_state)
+    x_sigma = np.einsum("kij,ji->k", PAULI_PRODUCTS, estimate.argmin.state()).real  # Tr[P_k sigma]
+    coeffs = -4.0 * _Point(x_sigma, objective).differentiate(objective).grad[0] / (1.0 + REG_EPS)
     r, s, t = coeffs[:3], coeffs[3:6], coeffs[6:].reshape(3, 3)
     beta = np.random.default_rng(12345).standard_normal((points, 3))
     beta /= np.linalg.norm(beta, axis=1, keepdims=True)
     best = 0.25 * (beta @ s + np.linalg.norm(r[None, :] + beta @ t.T, axis=1)).max()
-    x_sigma = np.einsum("kij,ji->k", PAULI_PRODUCTS, sigma).real  # Tr[P_k sigma]
     return max(best - 0.25 * float(coeffs @ x_sigma), 0.0)
 
 
@@ -449,3 +462,49 @@ class TestReportedGap:
         er_numeric(werner(0.3), FAST)
         er_numeric(werner(0.9), FAST)
         assert len(calls) == 2
+
+
+class TestPointRecord:
+    def test_one_stacked_eigh_per_point_and_none_in_certify(self, monkeypatch):
+        # every eigh outside product_decomposition is either a point's stacked [sigma,
+        # sigma^Gamma] or a dual probe G - s Z; _certify decomposes neither block on its own
+        calls, points, inside = [], [], []
+        real_eigh, real_point_init = np.linalg.eigh, _Point.__init__
+
+        def eigh(a):
+            if not inside:
+                calls.append(np.array(a))
+            return real_eigh(a)
+
+        def point_init(self, x, objective):
+            points.append(1)
+            real_point_init(self, x, objective)
+
+        def decomposition(rho):
+            inside.append(1)
+            try:
+                return product_decomposition(rho)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        monkeypatch.setattr(_Point, "__init__", point_init)
+        monkeypatch.setattr(separable, "product_decomposition", decomposition)
+        estimate = er_numeric(campaign_states(2, 7)[1][0])
+        assert estimate.converged and estimate.iterations > 0
+        stacked = [a for a in calls if a.shape == (2, 4, 4)]
+        assert len(stacked) == len(points)
+        probes = [a for a in calls if a.shape == (4, 4)]
+        assert len(probes) + len(stacked) == len(calls) and probes
+        for probe in probes:
+            assert not any(np.array_equal(probe, block) for pair in stacked for block in pair)
+
+    def test_growth_of_t_rebuilds_no_newton_data(self, monkeypatch):
+        # one differentiation per accepted point and the start, however many times t grew
+        calls = []
+        real = _Point.differentiate
+        monkeypatch.setattr(_Point, "differentiate",
+                            lambda self, objective: calls.append(1) or real(self, objective))
+        estimate = er_numeric(campaign_states(2, 7)[1][0])
+        assert estimate.converged
+        assert len(calls) == estimate.iterations + 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densecap as dc
 from conftest import draw_family_params
 from densecap import (
     bell,
@@ -23,8 +24,9 @@ from densecap import (
     validate_state,
     werner,
 )
-from densecap.errors import InvalidState, NotASimplex, NotNormalized, OutOfRange
+from densecap.errors import DensecapError, InvalidState, NotASimplex, NotNormalized, OutOfRange
 from densecap.linalg import ID2, PAULIS, partial_trace, tensor
+from densecap.separable import product_decomposition
 from densecap.states import (
     FAMILIES,
     build_family_state,
@@ -219,6 +221,36 @@ class TestPauliDecomposition:
         bad = type(dec)(r=dec.r + 2.0, s=dec.s, t=dec.t)
         with pytest.raises(InvalidState):
             from_pauli(bad)
+
+
+QUBIT = np.eye(2, dtype=complex) / 2  # a valid single-qubit state
+TWO_QUBIT_ENTRY_POINTS = {
+    name: getattr(dc, name) for name in (
+        "sdc_letters", "sdc_average_check", "optimize_gdc_probs", "optimize_cgdc", "check_bounds",
+        "concurrence", "entanglement_of_formation", "entropy_of_entanglement",
+        "hashing_distillable", "is_ppt", "er_numeric", "to_pauli",
+    )
+} | {
+    "gdc_ensemble": lambda w: dc.gdc_ensemble(w, [0.25] * 4),
+    "cgdc_ensemble": lambda w: dc.cgdc_ensemble(w, dc.optimize_cgdc(werner(0.5))["encoding"]),
+    "product_decomposition": product_decomposition,
+    "state_from_json_dict": lambda w: state_from_json_dict(state_to_json_dict(w)),
+}
+
+
+class TestSingleQubitInput:
+    @pytest.mark.parametrize("name", sorted(TWO_QUBIT_ENTRY_POINTS))
+    def test_two_qubit_entry_points_raise(self, name):
+        with pytest.raises(DensecapError):
+            TWO_QUBIT_ENTRY_POINTS[name](QUBIT)
+
+    def test_ensembles_take_qubits_but_not_a_mix(self):
+        ket0, ket1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        assert abs(dc.holevo(dc.LetterEnsemble([ket0, ket1], [0.5, 0.5])) - 1.0) < 1e-12
+        assert dc.von_neumann(QUBIT) == pytest.approx(1.0, abs=1e-14)
+        assert dc.relative_entropy(ket0, QUBIT) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(DensecapError):
+            dc.LetterEnsemble([QUBIT, np.eye(4) / 4], [0.5, 0.5])
 
 
 class TestRandomState:

@@ -283,6 +283,7 @@ class TestCli:
         cases += [
             ["capacity", "--state", "x" * 5000],  # the file test itself fails: name too long
             ["verify"],
+            ["verify", "--state", "werner:0.75", "--random", "3"],  # --random was ignored
             ["lemma", "--random", "-3"],
             ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.5",
              "--out", str(tmp_path / "missing" / "sweep.csv")],
