@@ -8,7 +8,6 @@ writes CSV.
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -52,22 +51,13 @@ def parse_state_arg(text):
     return state_from_json_dict({"family": family, "params": [x for x in raw.split(",") if x]})
 
 
-def _clean_floats(obj):
-    """Replace inf floats so the emitted JSON stays standard."""
-    if isinstance(obj, dict):
-        return {k: _clean_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_clean_floats(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
-
-
 def _emit(payload):
-    print(json.dumps(_clean_floats(payload), indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_capacity(args):
+    if args.probs is not None and args.mode != "gdc":
+        raise DensecapError(f"--probs sets the priors of --mode gdc; --mode {args.mode} takes none")
     rho, _, _ = parse_state_arg(args.state)
     if args.mode == "sdc":
         value = capacity(sdc_letters(rho))
@@ -110,17 +100,15 @@ def cmd_verify(args):
     if (args.state is None) == (args.random is None):
         raise DensecapError("verify takes exactly one of --state and --random N")
     if args.state is not None:
+        if args.rank is not None or args.seed is not None:
+            raise DensecapError("--rank and --seed select a --random campaign; --state takes neither")
         rho, family, params = parse_state_arg(args.state)
         report = check_bounds(rho, family=family, params=params)
         _emit(report.to_dict())
         return 0 if report.passed else 1
     ranks = (args.rank,) if args.rank else (1, 2, 3, 4)
-    summary, reports = run_campaign(args.random, seed=args.seed, ranks=ranks)
-    payload = {
-        "summary": summary,
-        "reports": [r.to_dict() for r in reports],
-    }
-    _emit(payload)
+    summary, reports = run_campaign(args.random, seed=args.seed or 0, ranks=ranks)
+    _emit({"summary": summary, "reports": [r.to_dict() for r in reports]})
     return 0 if summary["all_passed"] else 1
 
 
@@ -157,7 +145,7 @@ def build_parser():
     p = sub.add_parser("verify", help="bounds report for a state or a random campaign")
     p.add_argument("--state")
     p.add_argument("--random", type=int, metavar="N")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="campaign seed (default 0)")
     p.add_argument("--rank", type=int, choices=(1, 2, 3, 4))
     p.set_defaults(func=cmd_verify)
 

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize  # noqa: F401  unused; perfbench/tracer.py wraps this binding
 
+from .entanglement import PPT_TOL
 from .errors import NonUnitary
 from .infotheory import LetterEnsemble, _relative_entropy, entropy_of_eigenvalues, holevo
 from .linalg import (
-    ID2, PAULI_PRODUCTS, PAULIS, is_unitary, partial_trace, partial_transpose, tensor,
+    ID2, PAULI_PRODUCTS, PAULIS, conjugate_local, is_unitary, partial_trace, partial_transpose,
+    tensor,
 )
 from .states import check_simplex, parse_family, validate_state
 
@@ -61,10 +63,7 @@ class CgdcEncoding:
 def cgdc_ensemble(w0, encoding):
     """Letters W_i = (U_i x I) W0 (U_i x I)^dag with the encoding's priors."""
     w0 = validate_state(w0)
-    letters = []
-    for u in encoding.unitaries:
-        big = tensor(u, ID2)
-        letters.append(big @ w0 @ big.conj().T)
+    letters = [conjugate_local(w0, u) for u in encoding.unitaries]
     return LetterEnsemble(letters=letters, probs=encoding.probs.copy())
 
 
@@ -93,7 +92,7 @@ def sdc_average_check(w0):
     avg = ensemble.average()
     target = tensor(ID2 / 2, partial_trace(w0, over="A"))
     err = float(np.abs(avg - target).max())
-    ppt = bool(np.linalg.eigvalsh(partial_transpose(avg)).min() >= -1e-10)
+    ppt = bool(np.linalg.eigvalsh(partial_transpose(avg)).min() >= -PPT_TOL)
     return SdcAverageCheck(average=avg, product_form_error=err, ppt=ppt)
 
 
@@ -127,8 +126,6 @@ def distinguishability(ensemble):
     return total
 
 
-
-
 # ---------------------------------------------------------------------------
 # optimal encodings
 # ---------------------------------------------------------------------------
@@ -149,10 +146,8 @@ def optimize_gdc_probs(w0):
 def optimize_cgdc(w0, starts=None, maxiter=None):
     """Best local-unitary encoding of W0: the four Pauli letters, uniform priors.
 
-    Its capacity 1 + S(rho_B) - S(W0) is the optimum over every encoding:
-      1. every letter (U x I) W0 (U x I)^dag has entropy S(W0);
-      2. every letter's B marginal is rho_B = Tr_A W0, so S(avg) <= 1 + S(rho_B);
-      3. the uniform Pauli twirl gives avg = I/2 x rho_B, which reaches that bound.
+    Its capacity 1 + S(rho_B) - S(W0) is the optimum over every encoding, by the
+    proof in optimize_gdc_probs, which covers letters from any local unitaries.
     """
     best = optimize_gdc_probs(w0)
     encoding = CgdcEncoding(unitaries=(ID2,) + PAULIS, probs=best["probs"])

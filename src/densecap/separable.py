@@ -57,13 +57,16 @@ _HADAMARD4 = 0.5 * np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])  # H x H, exact
 
 
 def product_vector(qubit_a, qubit_b):
-    return np.kron(qubit_a, qubit_b)
+    """qubit_a x qubit_b for vectors of shape (2,), or row by row for stacks of shape (k, 2)."""
+    a, b = np.asarray(qubit_a), np.asarray(qubit_b)
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (4,))
 
 
 def nearest_product_vector(psi):
-    """Closest product vector to a pure two-qubit vector (leading Schmidt term)."""
-    u, _, vh = np.linalg.svd(np.asarray(psi, dtype=complex).reshape(2, 2))
-    return product_vector(u[:, 0], vh[0, :])
+    """Closest product vectors to the rows of psi, nonzero two-qubit vectors of shape (k, 4):
+    each row's leading Schmidt term, of unit norm, from one stacked SVD.  Returns shape (k, 4)."""
+    u, _, vh = np.linalg.svd(np.asarray(psi, dtype=complex).reshape(-1, 2, 2))
+    return product_vector(u[..., 0], vh[..., 0, :])
 
 
 @dataclass(frozen=True)
@@ -100,23 +103,14 @@ def takagi(tau):
     cut = 1e-13 * max(np.abs(evals).max(), 1.0)
 
     keep = evals > cut
-    cols, lams = list((evecs[:r] + 1j * evecs[r:])[:, keep].T), list(evals[keep])
-
-    # zero Takagi values: any orthonormal completion u of the columns above has
-    # tau conj(u) = sum_i lam_i v_i (v_i^dagger u)^* = 0, so Gram-Schmidt on the standard
-    # basis supplies them (error stays at the cut scale)
-    for u in np.eye(r, dtype=complex):
-        if len(cols) == r:
-            break
-        for c in cols:
-            u = u - np.vdot(c, u) * c
-        norm = np.linalg.norm(u)
-        if norm > 1e-6:
-            cols.append(u / norm)
-            lams.append(0.0)
-
-    order = np.argsort(lams)[::-1]
-    return np.array(lams)[order], np.column_stack(cols)[:, order]
+    lam, v = evals[keep][::-1], (evecs[:r] + 1j * evecs[r:])[:, keep][:, ::-1]
+    if len(lam) < r:
+        # zero Takagi values: any orthonormal completion u of the columns above has
+        # tau conj(u) = sum_i lam_i v_i (v_i^dagger u)^* = 0, and the unitary Q of the QR of
+        # [v | I] supplies one after its first len(lam) columns (error stays at the cut scale)
+        q = np.linalg.qr(np.hstack([v, np.eye(r)]))[0]
+        lam, v = np.concatenate([lam, np.zeros(r - len(lam))]), np.hstack([v, q[:, len(lam):]])
+    return lam, v
 
 
 def _closure_phases(lam):
@@ -152,6 +146,7 @@ def product_decomposition(rho):
     through the Takagi basis of their spin-flip overlap matrix and then
     recombined with polygon-closure phases, which zeroes the concurrence of
     each output vector; a zero-concurrence pure state is a product state.
+    One stacked SVD (nearest_product_vector) factors the output vectors.
     """
     rho = validate_state(rho)
     evals, evecs = np.linalg.eigh(rho)
@@ -160,7 +155,7 @@ def product_decomposition(rho):
     r = sub.shape[1]
 
     if r == 1:
-        return SeparableAnsatz(np.array([1.0]), np.stack([nearest_product_vector(sub[:, 0])]))
+        return SeparableAnsatz(np.array([1.0]), nearest_product_vector(sub.T))
 
     tau = sub.T.conj() @ SPIN_FLIP @ sub.conj()  # tau[i, j] = <v_i | v~_j>, symmetric
     lam, v = takagi(tau)
@@ -172,16 +167,10 @@ def product_decomposition(rho):
     xs4[:, :r] = xs
     phased = xs4 * np.exp(0.5j * _closure_phases(lam4))[None, :]
 
-    zs = phased @ _HADAMARD4.T  # column i is |z_i>
-    vectors, weights = [], []
-    for i in range(4):
-        w = float(np.linalg.norm(zs[:, i]) ** 2)
-        if w < 1e-14:
-            continue
-        vectors.append(nearest_product_vector(zs[:, i] / math.sqrt(w)))
-        weights.append(w)
-    weights = np.asarray(weights)
-    return SeparableAnsatz(weights / weights.sum(), np.stack(vectors))
+    zs = (phased @ _HADAMARD4.T).T  # row i is |z_i>
+    weights = np.linalg.norm(zs, axis=1) ** 2
+    keep = weights >= 1e-14
+    return SeparableAnsatz(weights[keep] / weights[keep].sum(), nearest_product_vector(zs[keep]))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +293,17 @@ class ErEstimate:
         return self.value - self.lower
 
 
+def _estimate(value, lower, argmin, iterations, config):
+    """The ErEstimate of the interval [lower, value], both ends clamped at 0."""
+    value, lower = max(value, 0.0), max(lower, 0.0)
+    return ErEstimate(value, argmin, value - lower <= config.gap_tol, iterations, lower)
+
+
 def _schmidt_mixture(w):
     """Schmidt terms of a pure w at their squared coefficients: the closest
     separable state (Vedral & Plenio, PRA 57, 1619, 1998)."""
     u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
-    vectors = np.stack([product_vector(u[:, j], vh[j]) for j in range(2)])
-    return SeparableAnsatz(sv**2 / (sv**2).sum(), vectors)
+    return SeparableAnsatz(sv**2 / (sv**2).sum(), product_vector(u.T, vh))
 
 
 def _sigmas(x):
@@ -346,9 +340,13 @@ class _Point:
         return self
 
     def newton(self, t):
-        """Barrier value t f - logdet, Newton step and Newton decrement at weight t."""
+        """Barrier value t f - logdet, Newton step and Newton decrement at weight t.  A singular
+        Hessian (the roundoff floor) gives a NaN step, which the line search rejects."""
         grad, hess = t * self.grad[0] + self.grad[1], t * self.hess[0] + self.hess[1]
-        step = np.linalg.solve(hess, -grad)
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = np.full(15, math.nan)
         return t * self.f - self.logdet, step, -float(grad @ step)
 
 
@@ -387,8 +385,7 @@ def _certify(point, t, config, iterations):
         s = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
     lower = (point.f - float(point.grad[0] @ point.x) / (1.0 + REG_EPS) + floor
              - math.log2(1.0 + REG_EPS) - margin)
-    value, lower = max(point.f, 0.0), max(lower, 0.0)
-    return ErEstimate(value, argmin, value - lower <= config.gap_tol, iterations, lower)
+    return _estimate(point.f, lower, argmin, iterations, config)
 
 
 def er_numeric(w, config=None):
@@ -412,21 +409,21 @@ def er_numeric(w, config=None):
     iterations, spectrum = 0, np.linalg.eigvalsh(w)
     if is_ppt(w):
         argmin = product_decomposition(w)
-        value = max(objective.value(argmin.state()), 0.0)
-        if value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
-            return ErEstimate(value, argmin, value <= config.gap_tol, 0, 0.0)
+        estimate = _estimate(objective.value(argmin.state()), 0.0, argmin, 0, config)
+        if estimate.value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
+            return estimate
     elif config.max_iter > 0 and spectrum[-2] <= EIGEN_KEEP_TOL:
         iterations = 1
         argmin = _schmidt_mixture(w)
-        value = max(objective.value(argmin.state()), 0.0)
         # E_R of the leading eigenvector is S(rho_B) (Vedral & Plenio), and w is within trace
         # distance eps of it, which moves E_R by at most eps log2 4 + g(eps), g(eps) =
         # (1 + eps) log2(1 + eps) - eps log2 eps (Winter, Commun. Math. Phys. 347, 291, 2016)
         eps = 0.5 * float(abs(1.0 - spectrum[-1]) + np.abs(spectrum[:-1]).sum())
         shift = 2.0 * eps + xlog2x(1.0 + eps) - xlog2x(eps) + SCHMIDT_ROUNDOFF
-        lower = max(entropy_of_eigenvalues(argmin.weights) - shift, 0.0)
-        if value - lower <= config.gap_tol:
-            return ErEstimate(value, argmin, True, iterations, lower)
+        lower = entropy_of_eigenvalues(argmin.weights) - shift
+        estimate = _estimate(objective.value(argmin.state()), lower, argmin, iterations, config)
+        if estimate.converged:
+            return estimate
 
     t, point = BARRIER_START, _Point(np.zeros(15), objective).differentiate(objective)  # I/4
     while iterations < config.max_iter:

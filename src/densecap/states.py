@@ -64,11 +64,7 @@ def xlog2x(x):
 
 def binary_entropy(x):
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
-    total = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+    return 0.0 - xlog2x(x) - xlog2x(1.0 - x)  # 0.0 first keeps h(0) at +0.0
 
 
 def check_simplex(probs, n=None, tol=1e-12):
@@ -131,9 +127,11 @@ def lambda_b(lam):
 
 def werner(fidelity):
     """Weight-F singlet mixed evenly with the other three Bell states."""
-    f = _check_unit_interval(fidelity, "fidelity")
-    rest = (1 - f) / 3
-    return bell_diagonal([f, rest, rest, rest])
+    return bell_diagonal(_werner_weights(_check_unit_interval(fidelity, "fidelity")))
+
+
+def _werner_weights(f):
+    return np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3])
 
 
 def bell_diagonal(weights):
@@ -197,13 +195,12 @@ def random_state(seed, rank=4):
 # ---------------------------------------------------------------------------
 
 
-def _pure_capacity(a, b):
-    a2 = abs(a) ** 2
-    return 1.0 - xlog2x(a2) - xlog2x(1.0 - a2)
-
-
 def _pure_er(a, b):
     return binary_entropy(abs(a) ** 2)
+
+
+def _pure_capacity(a, b):
+    return 1.0 + _pure_er(a, b)
 
 
 def _lambda_a_capacity(lam):
@@ -221,15 +218,6 @@ def _lambda_a_er(lam):
     return max(value, 0.0)
 
 
-def _lambda_b_capacity(lam):
-    s_plus = (1.0 + math.sqrt(1.0 - 2.0 * lam * (1.0 - lam))) / 2.0
-    value = xlog2x(s_plus) + xlog2x(1.0 - s_plus)
-    value -= (1.0 - lam / 2.0) * math.log2(0.5 * (1.0 - lam / 2.0))
-    if lam / 4.0 > 0.0:  # lam / 4 underflows to 0 for the two smallest subnormals
-        value -= (lam / 2.0) * math.log2(lam / 4.0)
-    return value
-
-
 def _lambda_b_er(lam):
     s_plus = (1.0 + math.sqrt(1.0 - 2.0 * lam * (1.0 - lam))) / 2.0
     value = xlog2x(s_plus) + xlog2x(1.0 - s_plus)
@@ -237,15 +225,16 @@ def _lambda_b_er(lam):
     return max(value, 0.0)
 
 
+def _lambda_b_capacity(lam):
+    return 1.0 + _lambda_b_er(lam)  # C <= 1 + E_R holds with equality on this family
+
+
 def _werner_capacity(f):
-    value = 2.0 + xlog2x(f)
-    if f < 1.0:
-        value += (1.0 - f) * math.log2((1.0 - f) / 3.0)
-    return max(value, 0.0)
+    return _bell_diagonal_capacity(_werner_weights(f))
 
 
 def _werner_er(f):
-    return _bell_diagonal_er(np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3]))
+    return _bell_diagonal_er(_werner_weights(f))
 
 
 def _bell_diagonal_capacity(weights):

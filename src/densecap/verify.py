@@ -10,9 +10,10 @@ The paper conjectured the last one; Plenio, Virmani & Papadopoulos
 the conjecture label and are reported apart from the other four.
 """
 
+import copy
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,22 +80,12 @@ class BoundsReport:
         return all(self.flags[name] for name in THEOREM_FLAGS)
 
     def to_dict(self):
-        return {
-            "descriptor": self.descriptor,
-            "c_sdc": self.c_sdc,
-            "e_v": self.e_v,
-            "e_f": self.e_f,
-            "e_r_closed": self.e_r_closed,
-            "e_r_numeric": self.e_r_numeric,
-            "e_r_numeric_lower": self.e_r_numeric_lower,
-            "e_r_numeric_converged": self.e_r_numeric_converged,
-            "delta": "inf" if math.isinf(self.delta) else self.delta,
-            "flags": dict(self.flags),
-            "tolerances": dict(self.tolerances),
-            "caveats": list(self.caveats),
-            "e_d_lower_informational": self.e_d_lower_informational,
-            "passed": self.passed,
-        }
+        """Each field copied shallowly, plus passed.  delta, the one number a report can hold
+        as infinite, is written as "inf" then, so the JSON stays standard."""
+        doc = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
+        doc["delta"] = "inf" if math.isinf(self.delta) else self.delta
+        doc["passed"] = self.passed
+        return doc
 
 
 def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
@@ -252,13 +243,9 @@ def run_campaign(n_states, seed, ranks=(1, 2, 3, 4), er_config=None):
     for state, descriptor in campaign_states(n_states, seed, ranks):
         reports.append(check_bounds(state, er_config=er_config, descriptor=descriptor))
 
-    flag_failures = {name: 0 for name in FLAG_NAMES}
-    for report in reports:
-        for name in FLAG_NAMES:
-            if not report.flags[name]:
-                flag_failures[name] += 1
+    flag_failures = {name: sum(not r.flags[name] for r in reports) for name in FLAG_NAMES}
     theorem_violations = sum(1 for r in reports if not r.theorem_ok)
-    conjecture_violations = sum(1 for r in reports if not r.flags["er_conjecture_ok"])
+    conjecture_violations = flag_failures["er_conjecture_ok"]
     summary = {
         "n_states": n_states,
         "seed": seed,

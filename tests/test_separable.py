@@ -403,6 +403,25 @@ class TestErNumericProperties:
         closed = er_closed_form(name, params)
         assert estimate.lower - 1e-9 <= closed <= estimate.value + 1e-9, (name, params, estimate)
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), gap_tol=st.sampled_from([1e-13, 1e-5, 1e-2]),
+           max_iter=st.sampled_from([3, 100]))
+    def test_interval_invariant_at_every_exit(self, data, gap_tol, max_iter):
+        # the PPT, Schmidt, barrier-certificate and spent-budget exits all return through one
+        # constructor; bell_diagonal([.5, .5, 0, 0]) exits PPT above a 1e-13 gap_tol
+        source = data.draw(st.sampled_from(["random", "ppt_boundary"] + sorted(FAMILIES)))
+        if source == "random":
+            seed, rank = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 4))
+            w_state = random_state(seed=seed, rank=rank)
+        elif source == "ppt_boundary":
+            w_state = bell_diagonal([0.5, 0.5, 0.0, 0.0])
+        else:
+            count = data.draw(st.sampled_from(sorted(FAMILIES[source].forms)))
+            w_state = build_family_state(source, draw_family_params(data, source, count))
+        estimate = er_numeric(w_state, ErConfig(max_iter=max_iter, gap_tol=gap_tol))
+        assert 0.0 <= estimate.lower <= estimate.value + 1e-12, estimate
+        assert estimate.converged == (estimate.gap <= gap_tol), estimate
+
 
 def grid_gap(w_state, estimate, points=100_000):
     """Conditional-gradient gap Tr[G sigma] - min Tr[G P] over product states P at the

@@ -35,6 +35,14 @@ def run_cli(*args):
     )
 
 
+def strict_json(text):
+    """json.loads that rejects the nonstandard Infinity, -Infinity and NaN tokens."""
+    def reject(token):
+        raise ValueError(f"nonstandard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCheckBounds:
     def test_lambda_b_all_flags_and_tight_equality(self):
         for lam in (0.2, 0.5, 0.8):
@@ -100,6 +108,20 @@ class TestCheckBounds:
     def test_family_must_build_the_state(self):
         with pytest.raises(OutOfRange):
             check_bounds(werner(0.75), family="werner", params=[1.0], er_config=FAST_ER)
+
+    def test_to_dict_copies_every_field(self):
+        from dataclasses import fields
+
+        report = check_bounds(bell("phi+"), er_config=FAST_ER)
+        doc = report.to_dict()
+        assert set(doc) == {f.name for f in fields(report)} | {"passed"}
+        assert doc["delta"] == "inf" and doc["passed"] is report.passed
+        doc["flags"]["lemma_ok"] = False
+        doc["tolerances"].clear()
+        doc["caveats"].append("mutated")
+        doc["descriptor"]["family"] = "mutated"
+        assert report.flags["lemma_ok"] and report.tolerances
+        assert "mutated" not in report.caveats and report.descriptor == {"family": "explicit"}
 
     def test_informational_distillable_lower_bound(self):
         report = check_bounds(bell("phi+"), family="pure_schmidt", params=[0.5], er_config=FAST_ER)
@@ -245,9 +267,20 @@ class TestCli:
     def test_verify_random_campaign(self):
         proc = run_cli("verify", "--random", "4", "--seed", "11")
         assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
+        doc = strict_json(proc.stdout)
         assert doc["summary"]["all_passed"] is True
         assert len(doc["reports"]) == 4
+        proc = run_cli("verify", "--random", "1")  # an omitted --seed is seed 0
+        assert proc.returncode == 0
+        assert strict_json(proc.stdout)["summary"]["seed"] == 0
+
+    def test_verify_infinite_delta_is_standard_json(self):
+        # a pure state's SDC letters have disjoint supports, so delta is infinite
+        proc = run_cli("verify", "--state", "pure_schmidt:0.8,0.6")
+        assert proc.returncode == 0
+        assert strict_json(proc.stdout)["delta"] == "inf"
+        with pytest.raises(ValueError):
+            strict_json('{"delta": Infinity}')
 
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -276,6 +309,10 @@ class TestCli:
         ]
         for probs in ("a,b,c,d", "nan,0,0,1"):
             cases.append(["capacity", "--state", "werner:0.75", "--mode", "gdc", "--probs", probs])
+        for mode in ([], ["--mode", "sdc"], ["--mode", "cgdc-opt"]):  # --probs is for gdc only
+            cases.append(["capacity", "--state", "werner:0.75", *mode, "--probs", "0.5,0.5,0,0"])
+        for extra in (["--rank", "2"], ["--seed", "0"], ["--rank", "2", "--seed", "5"]):
+            cases.append(["verify", "--state", "werner:0.75", *extra])  # campaign options
         for i, text in enumerate(("not json", "[0.75]", '{"family": "explicit", "params": []}')):
             path = tmp_path / f"state{i}.json"
             path.write_text(text)
