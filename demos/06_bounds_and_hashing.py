@@ -3,9 +3,12 @@
 On any shared state the proved bounds are E_R <= C <= 1 + E_F, and the
 tighter ceiling 1 + E_R, which the paper conjectured, was proved by
 Plenio, Virmani & Papadopoulos (J. Phys. A 33, L193, 2000); the campaign
-still counts it under its conjecture label.  For Bell-diagonal states with
-entropy below one bit, the hashing protocol's distillable fraction turns
-the capacity into an exact identity: C = 1 + (1 - S).
+still counts it under its conjecture label.  Read as bounds on
+purification, they place the distillable entanglement D in the interval
+[hashing, E_R]: hashing distils max(S(A), S(B)) - S(AB) Bell pairs per
+copy (Devetak & Winter, Proc. R. Soc. A 461, 207, 2005), at least C - 1,
+and E_R bounds D from above.  For Bell-diagonal states with entropy below
+one bit, hashing turns the capacity into an exact identity: C = 1 + (1 - S).
 """
 import numpy as np
 
@@ -33,7 +36,8 @@ print(f"  C            {sample.c_sdc:.6f}")
 print(f"  E_F          {sample.e_f:.6f}   (C <= 1+E_F: {sample.flags['ef_upper_ok']})")
 print(f"  E_R numeric  {sample.e_r_numeric:.6f}   (E_R <= C: {sample.flags['lower_bound_ok']})")
 print(f"  delta        {sample.delta}")
-print(f"  E_D >= C-1   {sample.e_d_lower_informational:.6f}   (informational only)")
+low, high = sample.e_d_interval
+print(f"  E_D in       [{low:.6f}, {high:.6f}]   (hashing yield >= C-1 = {sample.c_sdc - 1:.6f})")
 
 print()
 print("=== hashing identity on Bell-diagonal states with S <= 1 ===")

@@ -32,10 +32,3 @@ class InvalidState(DensecapError, ValueError):
 class NotPure(DensecapError, ValueError):
     """State is not pure within tolerance."""
 
-
-class NotBellDiagonal(DensecapError, ValueError):
-    """State is not diagonal in the Bell basis within tolerance."""
-
-
-class EntropyTooHigh(DensecapError, ValueError):
-    """State entropy exceeds the regime where the formula applies."""

@@ -10,7 +10,8 @@ barrier's dual matrix at the same point bounds it from below (_certify).
 sigma is also written as <= 4 product pure states (a SeparableAnsatz).
 
 PPT states exit at their exact product decomposition (lower bound 0), pure
-states at their Schmidt terms (lower bound S(rho_B), which is E_R there).
+states at their Schmidt terms (lower bound the hashing yield, at most E_R and
+equal to it on pure states; see entanglement.hashing_distillable).
 """
 
 import math
@@ -21,11 +22,11 @@ import numpy as np
 # unused here; perfbench/tracer.py looks both names up on this module (TRACED_SOLVERS)
 from scipy.optimize import brentq, minimize  # noqa: F401
 
-from .entanglement import is_ppt
+from .entanglement import hashing_distillable, is_ppt
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
-from .states import validate_state, xlog2x
+from .states import validate_state
 
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
@@ -391,41 +392,35 @@ def _certify(point, t, config, iterations):
 def er_numeric(w, config=None):
     """Proved interval [lower, value] on the relative entropy of entanglement of w, in bits.
 
-    PPT states exit at their exact product decomposition (lower 0, no iteration) and
-    pure states at their Schmidt terms (lower S(rho_B), one iteration).  Otherwise a
-    path-following barrier method minimizes t S(W || sigma) - ln det sigma - ln det
-    sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4 and t = BARRIER_START,
-    multiplying t by BARRIER_GROWTH after each centering; each Newton step is one iteration
-    against config.max_iter.  Once BARRIER_NU / t <= gap_tol / BARRIER_GROWTH, each centered
-    point goes to _certify, and the solve returns once value - lower <= gap_tol.  It also
-    ends when the budget is spent or no step descends (the roundoff floor).  value is the
-    objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
+    PPT states exit at their exact product decomposition (lower 0, no iteration) and pure states
+    at their Schmidt terms (lower hashing_distillable(w), E_R there; one iteration, converged or
+    not).  Otherwise a path-following barrier method minimizes t S(W || sigma) - ln det sigma
+    - ln det sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4 and
+    t = BARRIER_START, multiplying t by BARRIER_GROWTH after each centering; each Newton step is
+    one iteration against config.max_iter.  Once BARRIER_NU / t <= gap_tol / BARRIER_GROWTH,
+    each centered point goes to _certify, and the solve returns once value - lower <= gap_tol.
+    It also ends when the budget is spent or no step descends (the roundoff floor).  value is
+    the objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
     product states.  Deterministic.
     """
     config = config or ErConfig()
     w = validate_state(w)
     objective = _Objective(w)
 
-    iterations, spectrum = 0, np.linalg.eigvalsh(w)
     if is_ppt(w):
         argmin = product_decomposition(w)
         estimate = _estimate(objective.value(argmin.state()), 0.0, argmin, 0, config)
         if estimate.value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
             return estimate
-    elif config.max_iter > 0 and spectrum[-2] <= EIGEN_KEEP_TOL:
-        iterations = 1
+    elif config.max_iter > 0 and np.linalg.eigvalsh(w)[-2] <= EIGEN_KEEP_TOL:
+        # the hashing yield bounds E_R from below and equals it on pure states, so the gap is
+        # roundoff, which no barrier solve could narrow: the exit stands whatever gap_tol is
         argmin = _schmidt_mixture(w)
-        # E_R of the leading eigenvector is S(rho_B) (Vedral & Plenio), and w is within trace
-        # distance eps of it, which moves E_R by at most eps log2 4 + g(eps), g(eps) =
-        # (1 + eps) log2(1 + eps) - eps log2 eps (Winter, Commun. Math. Phys. 347, 291, 2016)
-        eps = 0.5 * float(abs(1.0 - spectrum[-1]) + np.abs(spectrum[:-1]).sum())
-        shift = 2.0 * eps + xlog2x(1.0 + eps) - xlog2x(eps) + SCHMIDT_ROUNDOFF
-        lower = entropy_of_eigenvalues(argmin.weights) - shift
-        estimate = _estimate(objective.value(argmin.state()), lower, argmin, iterations, config)
-        if estimate.converged:
-            return estimate
+        lower = hashing_distillable(w) - SCHMIDT_ROUNDOFF
+        return _estimate(objective.value(argmin.state()), lower, argmin, 1, config)
 
-    t, point = BARRIER_START, _Point(np.zeros(15), objective).differentiate(objective)  # I/4
+    iterations, t = 0, BARRIER_START
+    point = _Point(np.zeros(15), objective).differentiate(objective)  # I/4
     while iterations < config.max_iter:
         value, step, decrement = point.newton(t)
         if not decrement > CENTERING_TOL * max(1.0, abs(value)):  # centered at this t

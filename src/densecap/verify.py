@@ -7,7 +7,9 @@ most 1 + entanglement of formation, at most the average
 distinguishability, and at most 1 + relative entropy of entanglement.
 The paper conjectured the last one; Plenio, Virmani & Papadopoulos
 (J. Phys. A 33, L193, 2000) proved it.  Its flag and violation count keep
-the conjecture label and are reported apart from the other four.
+the conjecture label and are reported apart from the other four.  As bounds
+on purification: the distillable entanglement D lies in e_d_interval, from
+the hashing yield (at least C - 1) to E_R (entanglement.hashing_distillable).
 """
 
 import copy
@@ -24,7 +26,9 @@ from .densecoding import (
     sdc_average_check,
     sdc_letters,
 )
-from .entanglement import entanglement_of_formation, entropy_of_entanglement, er_closed_form
+from .entanglement import (
+    entanglement_of_formation, entropy_of_entanglement, er_closed_form, hashing_distillable,
+)
 from .errors import NotPure, OutOfRange
 from .separable import ErConfig, er_numeric
 from .states import FAMILIES, parse_family, random_state, validate_state
@@ -66,10 +70,10 @@ class BoundsReport:
     e_r_numeric_lower: float
     e_r_numeric_converged: bool
     delta: float
+    e_d_interval: list  # [hashing yield, E_R (closed form, else the numeric upper end)]
     flags: dict
     tolerances: dict
     caveats: list = field(default_factory=list)
-    e_d_lower_informational: float = 0.0
 
     @property
     def passed(self):
@@ -161,10 +165,10 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
         e_r_numeric_lower=estimate.lower,
         e_r_numeric_converged=estimate.converged,
         delta=delta,
+        e_d_interval=[hashing_distillable(w0), e_r_upper],
         flags=flags,
         tolerances=tols,
         caveats=caveats,
-        e_d_lower_informational=max(c_sdc - 1.0, 0.0),
     )
 
 

@@ -2,29 +2,36 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unitary
 from densecap import (
     bell,
     bell_diagonal,
     binary_entropy,
+    capacity,
     capacity_closed_form,
     concurrence,
     entanglement_of_formation,
     entropy_of_entanglement,
     er_closed_form,
+    er_numeric,
     hashing_distillable,
     is_ppt,
     lambda_a,
     lambda_b,
     pure_schmidt,
     random_state,
+    sdc_letters,
     von_neumann,
     werner,
 )
-from densecap.errors import EntropyTooHigh, NotASimplex, NotBellDiagonal, NotPure, OutOfRange
+from densecap.errors import NotASimplex, NotPure, OutOfRange
 from densecap.linalg import tensor
 from densecap.states import projector
+
+SWAP = np.eye(4)[[0, 2, 1, 3]]  # |ab> -> |ba>
 
 EF_WERNER_075 = 0.35457890266527003  # h((1 + sqrt(0.75)) / 2)
 ER_LAMBDA_B_05 = 0.21040208776627667
@@ -247,10 +254,36 @@ class TestHashing:
             assert abs(closed - (1.0 + hashing_distillable(rho))) < 1e-12
             checked += 1
 
-    def test_rejects_non_bell_diagonal(self):
-        with pytest.raises(NotBellDiagonal):
-            hashing_distillable(lambda_a(0.5))
+    def test_non_bell_diagonal_gets_a_value(self):
+        # lambda_a(l) has S(AB) = h(l) and marginals diag(1 - l/2, l/2) up to order
+        assert hashing_distillable(lambda_a(0.5)) == 0.0  # h(0.75) < h(0.5) = 1
+        value = hashing_distillable(lambda_a(0.9))
+        assert abs(value - (binary_entropy(0.55) - binary_entropy(0.9))) < 1e-12
 
-    def test_rejects_high_entropy(self):
-        with pytest.raises(EntropyTooHigh):
-            hashing_distillable(np.eye(4, dtype=complex) / 4)
+    def test_high_entropy_gives_zero(self):
+        assert hashing_distillable(np.eye(4, dtype=complex) / 4) == 0.0
+
+    def test_reverse_direction(self):
+        # rho_A = I/2 but rho_B = diag(0.6, 0.4): hashing with communication from Bob,
+        # S(A) - S(AB), yields more than C - 1 = S(B) - S(AB)
+        rho = 0.8 * bell("phi+") + 0.2 * tensor(np.eye(2) / 2, projector(np.array([1.0, 0.0])))
+        c_minus_one = capacity(sdc_letters(rho)) - 1.0
+        value = hashing_distillable(rho)
+        assert abs(c_minus_one - 0.2362) < 1e-4 and abs(value - 0.2653) < 1e-4
+        assert abs(value - (1.0 - von_neumann(rho))) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), swap=st.booleans())
+    def test_one_rule_on_every_state(self, seed, rank, swap):
+        # C - 1 <= hashing <= E_R, invariant under local unitaries and under swapping A and B
+        rho = random_state(seed=seed, rank=rank)
+        rng = np.random.default_rng(seed)
+        local = tensor(random_unitary(rng), random_unitary(rng))
+        framed = local @ rho @ local.conj().T
+        if swap:
+            framed = SWAP @ framed @ SWAP
+        value = hashing_distillable(framed)
+        assert 0.0 <= value <= 1.0
+        assert abs(value - hashing_distillable(rho)) < 1e-12
+        assert max(capacity(sdc_letters(framed)) - 1.0, 0.0) <= value + 1e-12
+        assert value <= er_numeric(framed).value + 1e-12

@@ -14,6 +14,7 @@ from densecap import (
     is_ppt,
     lambda_a,
     lambda_b,
+    pure_schmidt,
     random_state,
     relative_entropy,
     validate_state,
@@ -474,6 +475,15 @@ class TestReportedGap:
             estimate = er_numeric(w_state)
             assert estimate.converged and estimate.iterations == 1
             assert estimate.value == pytest.approx(entropy_of_entanglement(w_state), abs=1e-9)
+
+    def test_pure_state_exit_stands_below_its_gap(self):
+        # a gap_tol below the exit's roundoff gap (about 1e-12) must keep the exit: a barrier
+        # solve from there ends far wider (gap 7.9e-9 on phi+, 8.9e-4 at |a|^2 = 0.565)
+        for a2 in (0.5, 0.565, 0.9):
+            w_state = pure_schmidt(np.sqrt(a2), np.sqrt(1.0 - a2))
+            estimate = er_numeric(w_state, ErConfig(gap_tol=1e-13))
+            assert estimate.iterations == 1 and estimate.gap <= 1.2e-12
+            assert estimate.lower <= entropy_of_entanglement(w_state) <= estimate.value
 
     def test_ppt_test_runs_once(self, monkeypatch):
         calls = []

@@ -123,9 +123,9 @@ class TestCheckBounds:
         assert report.flags["lemma_ok"] and report.tolerances
         assert "mutated" not in report.caveats and report.descriptor == {"family": "explicit"}
 
-    def test_informational_distillable_lower_bound(self):
+    def test_distillation_interval(self):
         report = check_bounds(bell("phi+"), family="pure_schmidt", params=[0.5], er_config=FAST_ER)
-        assert abs(report.e_d_lower_informational - 1.0) < 1e-12
+        assert report.e_d_interval == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 class TestSweep:
@@ -192,6 +192,8 @@ class TestCampaign:
         assert len(reports) == 8
         ranks = [r.descriptor["random"]["rank"] for r in reports]
         assert ranks == [1, 2, 3, 4, 1, 2, 3, 4]
+        for r in reports:
+            assert r.e_d_interval[0] <= r.e_d_interval[1] + r.tolerances["closed_form"]
 
     def test_campaign_deterministic(self):
         a, _ = run_campaign(4, seed=9, er_config=FAST_ER)
