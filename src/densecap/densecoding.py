@@ -28,19 +28,16 @@ from .states import check_simplex, parse_family, validate_state
 UNIFORM4 = np.full(4, 0.25)
 
 
-def _pauli_letters(w0):
+def gdc_ensemble(w0, probs):
+    """The four Pauli-encoded letters of W0 with caller-supplied priors."""
     w0 = validate_state(w0)
-    return [w0] + [u @ w0 @ u for u in PAULI_PRODUCTS[:3]]  # sigma_m x I is Hermitian
+    letters = [w0] + [u @ w0 @ u for u in PAULI_PRODUCTS[:3]]  # sigma_m x I is Hermitian
+    return LetterEnsemble(letters=letters, probs=probs)
 
 
 def sdc_letters(w0):
     """The four Pauli-encoded letters of W0 with uniform priors."""
-    return LetterEnsemble(letters=_pauli_letters(w0), probs=UNIFORM4.copy())
-
-
-def gdc_ensemble(w0, probs):
-    """Pauli-encoded letters with caller-supplied priors."""
-    return LetterEnsemble(letters=_pauli_letters(w0), probs=check_simplex(probs, n=4))
+    return gdc_ensemble(w0, UNIFORM4)
 
 
 @dataclass(frozen=True)
@@ -108,18 +105,16 @@ def distinguishability(ensemble):
     An upper bound on the ensemble capacity; +inf as soon as one pair with
     nonzero weight has mismatched supports.
     """
-    probs = ensemble.probs
-    letters = ensemble.letters
-    stack = np.stack(letters)  # validated by LetterEnsemble, so each is decomposed once here
-    spectra, (ev, vec) = np.linalg.eigvalsh(stack), np.linalg.eigh(stack)
+    probs, letters = ensemble.probs, ensemble.letters  # validated, so each is decomposed once here
+    neg_entropies = -entropy_of_eigenvalues(np.linalg.eigvalsh(letters))
+    ev, vec = np.linalg.eigh(letters)
     total = 0.0
     for i, wi in enumerate(letters):
-        neg_entropy = -entropy_of_eigenvalues(spectra[i])
         for j in range(len(letters)):
             weight = probs[i] * probs[j]
             if i == j or weight == 0.0:
                 continue
-            term = _relative_entropy(wi, neg_entropy, ev[j], vec[j])
+            term = _relative_entropy(wi, neg_entropies[i], ev[j], vec[j])
             if math.isinf(term):
                 return math.inf
             total += weight * term

@@ -83,5 +83,5 @@ def hashing_distillable(rho):
     """
     rho = validate_state(rho)
     marginals = np.linalg.eigvalsh(np.stack([partial_trace(rho, "A"), partial_trace(rho, "B")]))
-    s_marginal = max(entropy_of_eigenvalues(ev) for ev in marginals)
+    s_marginal = float(entropy_of_eigenvalues(marginals).max())
     return min(max(s_marginal - entropy_of_eigenvalues(np.linalg.eigvalsh(rho)), 0.0), 1.0)

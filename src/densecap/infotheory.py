@@ -24,12 +24,11 @@ def _clamp(value):
 
 
 def entropy_of_eigenvalues(eigenvalues):
-    """Shannon entropy (bits) of a nonnegative spectrum; 0 log 0 = 0."""
-    ev = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
-    ev = ev[ev > 0.0]
-    if ev.size == 0:
-        return 0.0
-    return float(-(ev * np.log2(ev)).sum() + 0.0)  # +0.0 normalizes -0.0
+    """Shannon entropy (bits) of a nonnegative spectrum, as a float, or of each spectrum along
+    the last axis of a stack, as an array; 0 log 0 = 0, an exact zero term in the row's sum."""
+    ev = np.asarray(eigenvalues, dtype=float).clip(0.0, 1.0)
+    entropy = -(ev * np.log2(np.where(ev > 0.0, ev, 1.0))).sum(axis=-1) + 0.0  # +0.0: no -0.0
+    return float(entropy) if entropy.ndim == 0 else entropy
 
 
 def von_neumann(rho):
@@ -67,32 +66,28 @@ def _relative_entropy(sigma, neg_entropy, ev_rho, vec_rho):
 
 @dataclass(frozen=True)
 class LetterEnsemble:
-    """Letter states with their prior probabilities."""
+    """k letter states, all qubit or all two-qubit, stored as one (k, n, n) complex array
+    (letters[i] is letter i), with their k prior probabilities."""
 
-    letters: tuple
+    letters: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(np.asarray(w, dtype=complex) for w in self.letters))
-        probs = check_simplex(self.probs, n=len(self.letters))
-        object.__setattr__(self, "probs", probs)
-        for i, w in enumerate(self.letters):
-            validate_state(w, f"letter {i}", sizes=(2, 4))
-        if len({w.shape for w in self.letters}) > 1:
+        letters = [validate_state(w, f"letter {i}", (2, 4)) for i, w in enumerate(self.letters)]
+        object.__setattr__(self, "probs", check_simplex(self.probs, n=len(letters)))
+        if len({w.shape for w in letters}) > 1:
             raise InvalidState("letters mix single-qubit and two-qubit states")
+        object.__setattr__(self, "letters", np.array(letters))
 
     def average(self):
         """The mixture sum_i p_i W_i sent over the channel."""
-        stack = np.stack(self.letters)
-        return np.einsum("i,ijk->jk", self.probs, stack)
+        return np.einsum("i,ijk->jk", self.probs, self.letters)
 
 
 def holevo(ensemble):
-    """Holevo quantity S(W) - sum_i p_i S(W_i) of an ensemble, in bits."""
-    avg_entropy = entropy_of_eigenvalues(np.linalg.eigvalsh(ensemble.average()))
-    letter_term = sum(
-        p * entropy_of_eigenvalues(np.linalg.eigvalsh(w))
-        for p, w in zip(ensemble.probs, ensemble.letters)
-        if p > 0.0
-    )
+    """Holevo quantity S(W) - sum_i p_i S(W_i) of an ensemble, in bits, from one eigvalsh of
+    the stack [W, W_1, ..., W_k] and one entropy call."""
+    stack = np.concatenate([ensemble.average()[None], ensemble.letters])
+    avg_entropy, *entropies = entropy_of_eigenvalues(np.linalg.eigvalsh(stack))
+    letter_term = sum(p * s for p, s in zip(ensemble.probs, entropies) if p > 0.0)
     return _clamp(avg_entropy - letter_term)

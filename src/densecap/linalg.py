@@ -6,7 +6,7 @@ so a local operation U on Alice's qubit acts as kron(U, I).
 
 import numpy as np
 
-from .errors import BadDimension, NonUnitary
+from .errors import BadDimension, NonUnitary, OutOfRange
 
 HERMITICITY_TOL = 1e-10
 
@@ -52,7 +52,7 @@ def partial_trace(m, over):
         return np.einsum("ijik->jk", m)
     if over == "B":
         return np.einsum("ijkj->ik", m)
-    raise ValueError(f"subsystem must be 'A' or 'B', got {over!r}")
+    raise OutOfRange(f"subsystem must be 'A' or 'B', got {over!r}")
 
 
 def partial_transpose(m, on="B"):
@@ -63,7 +63,7 @@ def partial_transpose(m, on="B"):
     elif on == "B":
         out = m.transpose(0, 3, 2, 1)
     else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {on!r}")
+        raise OutOfRange(f"subsystem must be 'A' or 'B', got {on!r}")
     return out.reshape(4, 4)
 
 

@@ -26,7 +26,7 @@ from .entanglement import hashing_distillable, is_ppt
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
-from .states import validate_state
+from .states import check_integer, validate_state
 
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
@@ -267,10 +267,9 @@ class ErConfig:
     gap_tol: float = 1e-5
 
     def __post_init__(self):
-        value = self.max_iter
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-            raise OutOfRange(f"E_R max_iter must be a nonnegative integer, got {value!r}")
-        if not (isinstance(self.gap_tol, numbers.Real) and 0.0 < self.gap_tol < math.inf):
+        check_integer(self.max_iter, "E_R max_iter", 0, math.inf)
+        real = isinstance(self.gap_tol, numbers.Real) and not isinstance(self.gap_tol, bool)
+        if not (real and 0.0 < self.gap_tol < math.inf):
             raise OutOfRange(f"E_R gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 
@@ -403,7 +402,9 @@ def er_numeric(w, config=None):
     the objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
     product states.  Deterministic.
     """
-    config = config or ErConfig()
+    config = ErConfig() if config is None else config
+    if not isinstance(config, ErConfig):
+        raise OutOfRange(f"E_R config must be an ErConfig, got {type(config).__name__}")
     w = validate_state(w)
     objective = _Objective(w)
 

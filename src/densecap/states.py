@@ -12,6 +12,7 @@ parse_family is the one reader of a (name, params) pair.
 """
 
 import math
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -79,6 +80,13 @@ def check_simplex(probs, n=None, tol=1e-12):
     if not (p.min() >= -tol and abs(p.sum() - 1.0) <= tol):
         raise NotASimplex(f"probabilities {p.tolist()} do not form a simplex")
     return np.clip(p, 0.0, None)
+
+
+def check_integer(value, name, lo, hi):
+    """value as an int if it is an integer, not a bool, in [lo, hi]; else OutOfRange."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
+        raise OutOfRange(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
+    return int(value)
 
 
 def _check_unit_interval(x, name):
@@ -179,9 +187,7 @@ def random_state(seed, rank=4):
     traced down), which has full support on a rank-dimensional subspace
     almost surely.
     """
-    rank = int(rank)
-    if not 1 <= rank <= 4:
-        raise OutOfRange(f"rank must be 1..4, got {rank}")
+    rank = check_integer(rank, "rank", 1, 4)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T

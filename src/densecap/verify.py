@@ -31,7 +31,7 @@ from .entanglement import (
 )
 from .errors import NotPure, OutOfRange
 from .separable import ErConfig, er_numeric
-from .states import FAMILIES, parse_family, random_state, validate_state
+from .states import FAMILIES, check_integer, parse_family, random_state, validate_state
 
 CLOSED_FORM_TOL = 1e-9
 LEMMA_TOL = 1e-12
@@ -55,6 +55,11 @@ def default_tolerances():
             raise OutOfRange(f"DENSECAP_TOL={override!r} is not a positive number")
         tols["closed_form"] = value
     return tols
+
+
+def lemma_ok(check, tol=LEMMA_TOL):
+    """The SDC average that check, an SdcAverageCheck, tested is a PPT product within tol."""
+    return bool(check.product_form_error < tol and check.ppt)
 
 
 @dataclass
@@ -147,7 +152,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
         "ef_upper_ok": bool(c_sdc <= 1.0 + e_f + tols["closed_form"]),
         "er_conjecture_ok": bool(c_sdc <= 1.0 + e_r_lower + tols["conjecture"]),
         "delta_bound_ok": True if math.isinf(delta) else bool(c_sdc <= delta + tols["closed_form"]),
-        "lemma_ok": bool(average.product_form_error < tols["lemma"] and average.ppt),
+        "lemma_ok": lemma_ok(average, tols["lemma"]),
     }
     if math.isinf(delta):
         caveats.append("delta bound trivially satisfied (delta = +inf)")
@@ -188,8 +193,8 @@ def sweep_family(family, start, stop, step):
     """Closed-form capacity and E_R rows over a parameter grid, in order."""
     if family not in SWEEPABLE:
         raise OutOfRange(f"sweep supports {SWEEPABLE}, got {family!r}")
-    if not step > 0:
-        raise OutOfRange("step must be positive")
+    if not 0.0 < step < math.inf:
+        raise OutOfRange(f"step must be positive and finite, got {step}")
     if not (0.0 <= start <= stop <= 1.0):
         raise OutOfRange(f"grid [{start}, {stop}] outside the family domain [0, 1]")
     steps = (stop + 1e-12 - start) / step  # the grid has int(steps) + 1 rows
@@ -226,8 +231,8 @@ def write_sweep_csv(rows, path):
 
 def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     """Deterministic list of (state, descriptor) pairs for a campaign."""
-    if n_states < 1:
-        raise OutOfRange("n_states must be at least 1")
+    check_integer(n_states, "n_states", 1, math.inf)
+    check_integer(len(ranks), "the number of ranks", 1, math.inf)  # each one is random_state's
     out = []
     for i in range(n_states):
         rank = ranks[i % len(ranks)]
@@ -264,17 +269,12 @@ def run_campaign(n_states, seed, ranks=(1, 2, 3, 4), er_config=None):
 
 def lemma_campaign(n_states, seed, ranks=(1, 2, 3, 4)):
     """Check the product form of the SDC average on seeded random states."""
-    worst = 0.0
-    failures = 0
-    for state, _ in campaign_states(n_states, seed, ranks):
-        result = sdc_average_check(state)
-        worst = max(worst, result.product_form_error)
-        if result.product_form_error >= LEMMA_TOL or not result.ppt:
-            failures += 1
+    checks = [sdc_average_check(state) for state, _ in campaign_states(n_states, seed, ranks)]
+    failures = sum(not lemma_ok(check) for check in checks)
     return {
         "n_states": n_states,
         "seed": seed,
-        "max_product_form_error": worst,
+        "max_product_form_error": max(check.product_form_error for check in checks),
         "tolerance": LEMMA_TOL,
         "failures": failures,
         "all_passed": failures == 0,

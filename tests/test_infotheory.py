@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_unitary
 from densecap import (
@@ -15,10 +17,53 @@ from densecap import (
     von_neumann,
 )
 from densecap.errors import InvalidState, NotASimplex
+from densecap.infotheory import entropy_of_eigenvalues
 
 
 def scalar_entropy(values):
     return -sum(v * math.log2(v) for v in values if v > 0)
+
+
+def masked_entropy(eigenvalues):
+    """The per-spectrum entropy rule: clip to [0, 1], drop the zeros, sum -p log2 p."""
+    ev = np.clip(np.asarray(eigenvalues, dtype=float), 0.0, 1.0)
+    ev = ev[ev > 0.0]
+    return float(-(ev * np.log2(ev)).sum() + 0.0) if ev.size else 0.0
+
+
+def reference_holevo(ensemble):
+    """S(W) - sum_i p_i S(W_i) with one eigvalsh and one masked entropy per matrix."""
+    letter_term = sum(
+        p * masked_entropy(np.linalg.eigvalsh(w))
+        for p, w in zip(ensemble.probs, ensemble.letters)
+        if p > 0.0
+    )
+    value = masked_entropy(np.linalg.eigvalsh(ensemble.average())) - letter_term
+    return 0.0 if -1e-9 < value < 0.0 else value
+
+
+# ascending spectra of 2 or 4 entries: exact zeros, ties, tiny and generic weights, unnormalized
+# as well as normalized
+SPECTRUM_ENTRY = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(1e-300, 1e-12), st.floats(0.0, 1.0)
+)
+
+
+def spectra(size):
+    raw = st.lists(SPECTRUM_ENTRY, min_size=size, max_size=size)
+    normalized = raw.filter(lambda v: sum(v) > 0.0).map(lambda v: [x / sum(v) for x in v])
+    return st.one_of(raw, normalized).map(sorted)
+
+
+def random_letter(seed, n, rank):
+    """Seeded n x n density matrix of the given rank (n = 2 or 4)."""
+    if n == 4:
+        return random_state(seed=seed, rank=rank)
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+    rho = g @ g.conj().T
+    rho /= rho.trace().real
+    return (rho + rho.conj().T) / 2
 
 
 class TestVonNeumann:
@@ -99,7 +144,53 @@ class TestRelativeEntropy:
             relative_entropy(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4)
 
 
+class TestStackedEntropy:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.sampled_from([2, 4]), rows=st.integers(1, 6))
+    def test_rows_match_single_spectra_and_the_masked_rule(self, data, size, rows):
+        stack = np.array([data.draw(spectra(size)) for _ in range(rows)])
+        stacked = entropy_of_eigenvalues(stack)
+        assert stacked.shape == (rows,)
+        for i in range(rows):
+            single = entropy_of_eigenvalues(stack[i])
+            assert type(single) is float
+            assert stacked[i] == single == masked_entropy(stack[i])
+
+    @pytest.mark.parametrize("spectrum", [
+        [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0],
+        [0.25] * 4, [0.0, 1.0], [0.0, 0.0, 0.0, 0.0],
+    ])
+    def test_edge_spectra(self, spectrum):
+        value = entropy_of_eigenvalues(spectrum)
+        assert value == masked_entropy(spectrum) == entropy_of_eigenvalues([spectrum])[0]
+        assert math.copysign(1.0, value) == 1.0  # never -0.0
+
+
 class TestHolevo:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4]),
+        seed=st.integers(0, 2**32 - 1),
+        ranks=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        weights=st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.5, 1.0, 3.0]), min_size=5, max_size=5),
+    )
+    @example(n=4, seed=0, ranks=[1, 1, 1, 1], weights=[1.0, 0.0, 1.0, 0.0, 0.0])
+    def test_matches_the_per_letter_formula(self, n, seed, ranks, weights):
+        letters = [random_letter((seed, i), n, min(rank, n)) for i, rank in enumerate(ranks)]
+        raw = weights[: len(letters)]
+        if sum(raw) == 0.0:
+            raw = [1.0] * len(letters)
+        ensemble = LetterEnsemble(letters=letters, probs=[w / sum(raw) for w in raw])
+        assert ensemble.letters.shape == (len(letters), n, n)
+        np.testing.assert_array_equal(ensemble.letters, np.array(letters))
+        assert holevo(ensemble) == reference_holevo(ensemble)
+
+    def test_letters_are_one_stacked_array(self):
+        letters = [bell(n) for n in ("phi+", "phi-", "psi+")]
+        ensemble = LetterEnsemble(letters=tuple(letters), probs=[0.5, 0.25, 0.25])
+        assert isinstance(ensemble.letters, np.ndarray)
+        assert ensemble.letters.shape == (3, 4, 4) and ensemble.letters.dtype == complex
+
     def test_identical_letters(self):
         rho = random_state(seed=11, rank=4)
         ensemble = LetterEnsemble(letters=[rho] * 4, probs=[0.25] * 4)

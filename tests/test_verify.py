@@ -12,15 +12,20 @@ from densecap import (
     capacity_closed_form,
     check_bounds,
     er_closed_form,
+    er_numeric,
     lambda_b,
+    partial_trace,
+    partial_transpose,
     random_state,
     run_campaign,
     sweep_family,
     werner,
 )
+from densecap.cli import main
 from densecap.errors import OutOfRange
 from densecap.separable import ErConfig
 from densecap.verify import (
+    campaign_states,
     default_tolerances,
     format_sweep_csv,
     lemma_campaign,
@@ -210,6 +215,39 @@ class TestCampaign:
             run_campaign(0, seed=0)
         with pytest.raises(OutOfRange):
             lemma_campaign(-3, seed=0)
+
+
+# library inputs that once escaped as a bare ValueError, ZeroDivisionError, TypeError or
+# AttributeError, or were silently taken (a fractional or bool rank, a bool gap_tol), or, for an
+# infinite sweep step, failed with a misleading message
+BAD_LIBRARY_INPUTS = {
+    "partial_trace_unknown_subsystem": lambda: partial_trace(werner(0.5), "C"),
+    "partial_transpose_unknown_subsystem": lambda: partial_transpose(werner(0.5), on="C"),
+    "random_state_text_rank": lambda: random_state(1, "x"),
+    "random_state_fractional_rank": lambda: random_state(1, 2.5),
+    "random_state_bool_rank": lambda: random_state(1, True),
+    "lemma_campaign_fractional_rank": lambda: lemma_campaign(3, 0, ranks=(2.5,)),
+    "run_campaign_no_ranks": lambda: run_campaign(2, 0, ranks=()),
+    "campaign_states_fractional_count": lambda: campaign_states(2.5, 0),
+    "er_config_bool_gap_tol": lambda: ErConfig(gap_tol=True),
+    "er_numeric_dict_config": lambda: er_numeric(werner(0.9), {"gap_tol": 1e-3}),
+    "check_bounds_dict_config": lambda: check_bounds(werner(0.9), er_config={"gap_tol": 1e-3}),
+    "sweep_infinite_step": lambda: sweep_family("werner", 0.0, 1.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
+def test_bad_library_inputs_raise_out_of_range(name):
+    with pytest.raises(OutOfRange):
+        BAD_LIBRARY_INPUTS[name]()
+
+
+def test_sweep_rejects_an_infinite_step(tmp_path):
+    out = tmp_path / "rows.csv"
+    argv = ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "inf"]
+    with pytest.raises(SystemExit, match="^error: step must be positive and finite"):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 class TestCli:
