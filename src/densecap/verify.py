@@ -57,9 +57,9 @@ def default_tolerances():
     return tols
 
 
-def lemma_ok(check, tol=LEMMA_TOL):
-    """The SDC average that check, an SdcAverageCheck, tested is a PPT product within tol."""
-    return bool(check.product_form_error < tol and check.ppt)
+def lemma_ok(check):
+    """The SDC average that check, an SdcAverageCheck, tested is a PPT product within LEMMA_TOL."""
+    return bool(check.product_form_error < LEMMA_TOL and check.ppt)
 
 
 @dataclass
@@ -152,7 +152,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
         "ef_upper_ok": bool(c_sdc <= 1.0 + e_f + tols["closed_form"]),
         "er_conjecture_ok": bool(c_sdc <= 1.0 + e_r_lower + tols["conjecture"]),
         "delta_bound_ok": True if math.isinf(delta) else bool(c_sdc <= delta + tols["closed_form"]),
-        "lemma_ok": lemma_ok(average, tols["lemma"]),
+        "lemma_ok": lemma_ok(average),
     }
     if math.isinf(delta):
         caveats.append("delta bound trivially satisfied (delta = +inf)")
@@ -232,7 +232,8 @@ def write_sweep_csv(rows, path):
 def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     """Deterministic list of (state, descriptor) pairs for a campaign."""
     check_integer(n_states, "n_states", 1, math.inf)
-    check_integer(len(ranks), "the number of ranks", 1, math.inf)  # each one is random_state's
+    if not ranks:
+        raise OutOfRange("ranks must not be empty")
     out = []
     for i in range(n_states):
         rank = ranks[i % len(ranks)]

@@ -218,8 +218,7 @@ class TestCampaign:
 
 
 # library inputs that once escaped as a bare ValueError, ZeroDivisionError, TypeError or
-# AttributeError, or were silently taken (a fractional or bool rank, a bool gap_tol), or, for an
-# infinite sweep step, failed with a misleading message
+# AttributeError, or were silently taken (a fractional or bool rank, a bool gap_tol)
 BAD_LIBRARY_INPUTS = {
     "partial_trace_unknown_subsystem": lambda: partial_trace(werner(0.5), "C"),
     "partial_transpose_unknown_subsystem": lambda: partial_transpose(werner(0.5), on="C"),
@@ -232,7 +231,6 @@ BAD_LIBRARY_INPUTS = {
     "er_config_bool_gap_tol": lambda: ErConfig(gap_tol=True),
     "er_numeric_dict_config": lambda: er_numeric(werner(0.9), {"gap_tol": 1e-3}),
     "check_bounds_dict_config": lambda: check_bounds(werner(0.9), er_config={"gap_tol": 1e-3}),
-    "sweep_infinite_step": lambda: sweep_family("werner", 0.0, 1.0, math.inf),
 }
 
 
