@@ -19,8 +19,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-# unused here; perfbench/tracer.py looks both names up on this module (TRACED_SOLVERS)
-from scipy.optimize import brentq, minimize  # noqa: F401
 
 from .entanglement import hashing_distillable, is_ppt
 from .errors import OutOfRange
@@ -443,3 +441,10 @@ def er_numeric(w, config=None):
         else:  # no descent at the roundoff floor: no further step can move sigma
             break
     return _certify(point, t, config, iterations)
+
+
+def __getattr__(name):  # PEP 562: perfbench/tracer.py looks up these unused solvers
+    if name not in ("brentq", "minimize"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import optimize  # on that lookup only; never bound here
+    return getattr(optimize, name)

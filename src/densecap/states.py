@@ -188,7 +188,10 @@ def random_state(seed, rank=4):
     almost surely.
     """
     rank = check_integer(rank, "rank", 1, 4)
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:  # numpy rejects negative, fractional and text seeds
+        raise OutOfRange(f"seed {seed!r} is not a non-negative integer or a sequence of them") from exc
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     rho /= rho.trace().real

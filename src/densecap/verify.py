@@ -20,10 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .densecoding import (
-    capacity,
-    capacity_closed_form,
-    distinguishability,
-    sdc_average_check,
+    _sdc_average_check, capacity, capacity_closed_form, distinguishability, sdc_average_check,
     sdc_letters,
 )
 from .entanglement import (
@@ -146,7 +143,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
             "numeric E_R is an upper bound on true E_R; flag is a sufficient check"
         )
 
-    average = sdc_average_check(w0)
+    average = _sdc_average_check(w0, ensemble)
     flags = {
         "lower_bound_ok": bool(e_r_upper <= c_sdc + tols["closed_form"]),
         "ef_upper_ok": bool(c_sdc <= 1.0 + e_f + tols["closed_form"]),
@@ -232,6 +229,10 @@ def write_sweep_csv(rows, path):
 def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     """Deterministic list of (state, descriptor) pairs for a campaign."""
     check_integer(n_states, "n_states", 1, math.inf)
+    try:
+        ranks = [check_integer(rank, "rank", 1, 4) for rank in ranks]
+    except TypeError:  # not iterable: a bare number, say
+        raise OutOfRange(f"ranks must be a sequence of ranks, got {ranks!r}") from None
     if not ranks:
         raise OutOfRange("ranks must not be empty")
     out = []
@@ -259,7 +260,7 @@ def run_campaign(n_states, seed, ranks=(1, 2, 3, 4), er_config=None):
     summary = {
         "n_states": n_states,
         "seed": seed,
-        "ranks": list(ranks),
+        "ranks": [int(rank) for rank in ranks],
         "flag_failures": flag_failures,
         "theorem_violations": theorem_violations,
         "conjecture_violations": conjecture_violations,

@@ -225,6 +225,11 @@ BAD_LIBRARY_INPUTS = {
     "random_state_text_rank": lambda: random_state(1, "x"),
     "random_state_fractional_rank": lambda: random_state(1, 2.5),
     "random_state_bool_rank": lambda: random_state(1, True),
+    "random_state_negative_seed": lambda: random_state(-1),
+    "random_state_fractional_seed": lambda: random_state(0.5),
+    "random_state_text_seed": lambda: random_state("a"),
+    "campaign_states_bare_number_ranks": lambda: campaign_states(2, 0, ranks=3),
+    "campaign_states_array_of_bad_ranks": lambda: campaign_states(2, 0, ranks=np.array([2, 5])),
     "lemma_campaign_fractional_rank": lambda: lemma_campaign(3, 0, ranks=(2.5,)),
     "run_campaign_no_ranks": lambda: run_campaign(2, 0, ranks=()),
     "campaign_states_fractional_count": lambda: campaign_states(2.5, 0),
@@ -238,6 +243,31 @@ BAD_LIBRARY_INPUTS = {
 def test_bad_library_inputs_raise_out_of_range(name):
     with pytest.raises(OutOfRange):
         BAD_LIBRARY_INPUTS[name]()
+
+
+def test_campaign_takes_an_array_of_ranks():
+    from_array = campaign_states(3, 0, ranks=np.array([1, 2]))
+    from_tuple = campaign_states(3, 0, ranks=(1, 2))
+    assert [d for _, d in from_array] == [d for _, d in from_tuple]
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(from_array, from_tuple))
+    summary, _ = run_campaign(1, 0, ranks=np.array([1]), er_config=FAST_ER)
+    assert json.loads(json.dumps(summary))["ranks"] == [1]
+
+
+def test_check_bounds_builds_the_sdc_letters_once(monkeypatch):
+    import densecap.densecoding as dc
+    import densecap.verify as ver
+
+    calls, sdc_letters = [], dc.sdc_letters
+
+    def counted(w0):
+        calls.append(w0)
+        return sdc_letters(w0)
+
+    monkeypatch.setattr(ver, "sdc_letters", counted)
+    monkeypatch.setattr(dc, "sdc_letters", counted)
+    check_bounds(werner(0.75), family="werner", params=[0.75])
+    assert len(calls) == 1
 
 
 def test_sweep_rejects_an_infinite_step(tmp_path):
@@ -360,6 +390,8 @@ class TestCli:
             ["verify"],
             ["verify", "--state", "werner:0.75", "--random", "3"],  # --random was ignored
             ["lemma", "--random", "-3"],
+            ["verify", "--random", "2", "--seed", "-1"],  # numpy rejects negative seeds
+            ["lemma", "--random", "2", "--seed", "-3"],
             ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.5",
              "--out", str(tmp_path / "missing" / "sweep.csv")],
         ]
