@@ -11,13 +11,7 @@ import json
 import sys
 from pathlib import Path
 
-from .densecoding import (
-    capacity,
-    gdc_ensemble,
-    optimize_cgdc,
-    optimize_gdc_probs,
-    sdc_letters,
-)
+from .densecoding import capacity, gdc_ensemble, sdc_letters
 from .entanglement import concurrence, entanglement_of_formation, er_closed_form, is_ppt
 from .separable import er_numeric
 from .states import FAMILIES, state_from_json_dict
@@ -59,23 +53,10 @@ def cmd_capacity(args):
     if args.probs is not None and args.mode != "gdc":
         raise DensecapError(f"--probs sets the priors of --mode gdc; --mode {args.mode} takes none")
     rho, _, _ = parse_state_arg(args.state)
-    if args.mode == "sdc":
-        value = capacity(sdc_letters(rho))
-        probs = [0.25, 0.25, 0.25, 0.25]
-    elif args.mode == "gdc":
-        if args.probs:
-            ensemble = gdc_ensemble(rho, args.probs.split(","))
-            probs = [float(p) for p in ensemble.probs]
-            value = capacity(ensemble)
-        else:
-            result = optimize_gdc_probs(rho)
-            probs = [float(p) for p in result["probs"]]
-            value = result["capacity"]
-    else:  # cgdc-opt
-        result = optimize_cgdc(rho)
-        probs = [float(p) for p in result["encoding"].probs]
-        value = result["capacity"]
-    _emit({"capacity_bits": value, "mode": args.mode, "probs": probs})
+    # uniform Pauli letters are the optimum of every mode (see densecoding.optimize_gdc_probs)
+    ensemble = sdc_letters(rho) if args.probs is None else gdc_ensemble(rho, args.probs.split(","))
+    probs = [float(p) for p in ensemble.probs]
+    _emit({"capacity_bits": capacity(ensemble), "mode": args.mode, "probs": probs})
     return 0
 
 

@@ -44,8 +44,6 @@ def concurrence(rho):
     rho = validate_state(rho)
     evals, evecs = np.linalg.eigh(rho)
     keep = evals > 4.0 * np.finfo(float).eps
-    if not keep.any():
-        return 0.0
     sub = evecs[:, keep] * np.sqrt(evals[keep])
     overlap = sub.T.conj() @ SPIN_FLIP @ sub.conj()
     roots = np.zeros(4)

@@ -34,7 +34,7 @@ def entropy_of_eigenvalues(eigenvalues):
 def von_neumann(rho):
     """Von Neumann entropy S(rho) = -Tr rho log2 rho, in bits, of a qubit or two-qubit state."""
     rho = validate_state(rho, sizes=(2, 4))
-    return _clamp(entropy_of_eigenvalues(np.linalg.eigvalsh(rho)))
+    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho))
 
 
 def relative_entropy(sigma, rho):

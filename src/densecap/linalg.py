@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import BadDimension, NonUnitary, OutOfRange
 
-HERMITICITY_TOL = 1e-10
+UNITARY_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -67,9 +67,9 @@ def partial_transpose(m, on="B"):
     return out.reshape(4, 4)
 
 
-def is_unitary(u, tol=HERMITICITY_TOL):
+def is_unitary(u):
     u = np.asarray(u, dtype=complex)
-    return bool(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max() <= tol)
+    return bool(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max() <= UNITARY_TOL)
 
 
 def conjugate_local(w, u):
@@ -82,6 +82,6 @@ def conjugate_local(w, u):
     if u.shape != (2, 2):
         raise BadDimension(f"expected a 2x2 unitary, got shape {u.shape}")
     if not is_unitary(u):
-        raise NonUnitary("local operation is not unitary within 1e-10")
+        raise NonUnitary(f"local operation is not unitary within {UNITARY_TOL:.0e}")
     big = tensor(u, ID2)
     return big @ w @ dagger(big)

@@ -15,7 +15,6 @@ equal to it on pure states; see entanglement.hashing_distillable).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .entanglement import hashing_distillable, is_ppt
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
-from .states import check_integer, validate_state
+from .states import check_integer, check_real, validate_state
 
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
@@ -266,8 +265,7 @@ class ErConfig:
 
     def __post_init__(self):
         check_integer(self.max_iter, "E_R max_iter", 0, math.inf)
-        real = isinstance(self.gap_tol, numbers.Real) and not isinstance(self.gap_tol, bool)
-        if not (real and 0.0 < self.gap_tol < math.inf):
+        if not 0.0 < check_real(self.gap_tol, "E_R gap_tol") < math.inf:
             raise OutOfRange(f"E_R gap_tol must be finite and positive, got {self.gap_tol!r}")
 
 

@@ -24,6 +24,7 @@ from .linalg import PAULI_PRODUCTS
 STATE_HERM_TOL = 1e-12
 STATE_TRACE_TOL = 1e-12
 STATE_PSD_TOL = 1e-10
+SIMPLEX_TOL = 1e-12
 
 # column vectors in the |00>,|01>,|10>,|11> basis
 BELL_VECTORS = {
@@ -68,7 +69,7 @@ def binary_entropy(x):
     return 0.0 - xlog2x(x) - xlog2x(1.0 - x)  # 0.0 first keeps h(0) at +0.0
 
 
-def check_simplex(probs, n=None, tol=1e-12):
+def check_simplex(probs, n=None):
     """Validate a probability vector; returns it as a float array."""
     try:
         p = np.asarray(probs, dtype=float)
@@ -77,7 +78,7 @@ def check_simplex(probs, n=None, tol=1e-12):
     if p.ndim != 1 or p.size == 0 or (n is not None and p.size != n):
         raise NotASimplex(f"expected {n or 'some'} probabilities, got shape {p.shape}")
     # the accepting condition, negated, so that a NaN entry fails it
-    if not (p.min() >= -tol and abs(p.sum() - 1.0) <= tol):
+    if not (p.min() >= -SIMPLEX_TOL and abs(p.sum() - 1.0) <= SIMPLEX_TOL):
         raise NotASimplex(f"probabilities {p.tolist()} do not form a simplex")
     return np.clip(p, 0.0, None)
 
@@ -87,6 +88,13 @@ def check_integer(value, name, lo, hi):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not lo <= value <= hi:
         raise OutOfRange(f"{name} must be an integer in [{lo}, {hi}], got {value!r}")
     return int(value)
+
+
+def check_real(value, name):
+    """value as a float if it is a real number, not a bool; else OutOfRange."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise OutOfRange(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_unit_interval(x, name):
@@ -188,7 +196,10 @@ def random_state(seed, rank=4):
     almost surely.
     """
     rank = check_integer(rank, "rank", 1, 4)
+    parts = seed if isinstance(seed, (tuple, list)) else [seed]
     try:
+        if any(isinstance(part, bool) for part in parts):  # numpy would take True for seed 1
+            raise TypeError("a bool seed")
         rng = np.random.default_rng(seed)
     except (TypeError, ValueError) as exc:  # numpy rejects negative, fractional and text seeds
         raise OutOfRange(f"seed {seed!r} is not a non-negative integer or a sequence of them") from exc
@@ -346,10 +357,8 @@ def build_family_state(name, params):
 # ---------------------------------------------------------------------------
 
 
-def state_to_json_dict(rho, family=None, params=None):
-    """Serialize a state to the shared JSON schema."""
-    if family is not None and family != "explicit":
-        return {"family": family, "params": list(map(float, params))}
+def state_to_json_dict(rho):
+    """Serialize a state to the shared JSON schema, as an explicit matrix."""
     rho = np.asarray(rho, dtype=complex)
     return {
         "family": "explicit",

@@ -28,7 +28,7 @@ from .entanglement import (
 )
 from .errors import NotPure, OutOfRange
 from .separable import ErConfig, er_numeric
-from .states import FAMILIES, check_integer, parse_family, random_state, validate_state
+from .states import FAMILIES, check_integer, check_real, parse_family, random_state, validate_state
 
 CLOSED_FORM_TOL = 1e-9
 LEMMA_TOL = 1e-12
@@ -190,6 +190,7 @@ def sweep_family(family, start, stop, step):
     """Closed-form capacity and E_R rows over a parameter grid, in order."""
     if family not in SWEEPABLE:
         raise OutOfRange(f"sweep supports {SWEEPABLE}, got {family!r}")
+    start, stop, step = check_real(start, "start"), check_real(stop, "stop"), check_real(step, "step")
     if not 0.0 < step < math.inf:
         raise OutOfRange(f"step must be positive and finite, got {step}")
     if not (0.0 <= start <= stop <= 1.0):
@@ -229,6 +230,7 @@ def write_sweep_csv(rows, path):
 def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     """Deterministic list of (state, descriptor) pairs for a campaign."""
     check_integer(n_states, "n_states", 1, math.inf)
+    seed = check_integer(seed, "seed", 0, math.inf)
     try:
         ranks = [check_integer(rank, "rank", 1, 4) for rank in ranks]
     except TypeError:  # not iterable: a bare number, say
@@ -259,7 +261,7 @@ def run_campaign(n_states, seed, ranks=(1, 2, 3, 4), er_config=None):
     conjecture_violations = flag_failures["er_conjecture_ok"]
     summary = {
         "n_states": n_states,
-        "seed": seed,
+        "seed": int(seed),
         "ranks": [int(rank) for rank in ranks],
         "flag_failures": flag_failures,
         "theorem_violations": theorem_violations,
@@ -275,7 +277,7 @@ def lemma_campaign(n_states, seed, ranks=(1, 2, 3, 4)):
     failures = sum(not lemma_ok(check) for check in checks)
     return {
         "n_states": n_states,
-        "seed": seed,
+        "seed": int(seed),
         "max_product_form_error": max(check.product_form_error for check in checks),
         "tolerance": LEMMA_TOL,
         "failures": failures,

@@ -137,3 +137,7 @@ class TestConjugateLocal:
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitary):
             conjugate_local(ID4 / 4, np.array([[1, 1], [0, 1]], dtype=complex))
+
+    def test_rejects_a_unitary_that_is_not_2x2(self):
+        with pytest.raises(BadDimension):
+            conjugate_local(ID4 / 4, np.eye(3))

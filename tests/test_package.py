@@ -18,6 +18,7 @@ import densecap
 import densecap.cli
 densecap.cli.main(["verify", "--state", "werner:0.75"])
 densecap.cli.main(["capacity", "--state", "werner:0.75", "--mode", "cgdc-opt"])
+densecap.optimize_cgdc(densecap.werner(0.75))
 assert "scipy" not in sys.modules, sorted(name for name in sys.modules if name.startswith("scipy"))
 """
 

@@ -313,6 +313,10 @@ class TestJsonSchema:
         for rho in (one_nan, np.full((4, 4), np.nan)):
             with pytest.raises(InvalidState):
                 validate_state(rho)
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 1e-6  # its transpose entry stays 0
+        with pytest.raises(InvalidState, match="not Hermitian"):
+            validate_state(skew)
         for doc in ([0.75], {"family": "explicit"}, {"family": "explicit", "matrix": {"re": "x"}}):
             with pytest.raises(InvalidState):
                 state_from_json_dict(doc)

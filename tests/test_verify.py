@@ -110,6 +110,11 @@ class TestCheckBounds:
         report = check_bounds(random_state(seed=78, rank=3), er_config=FAST_ER)
         assert any("upper bound" in c for c in report.caveats)
 
+    def test_unconverged_er_caveat_recorded(self):
+        report = check_bounds(werner(0.9), er_config=ErConfig(max_iter=3))
+        assert not report.e_r_numeric_converged
+        assert "numeric E_R minimizer stopped before certifying its gap" in report.caveats
+
     def test_family_must_build_the_state(self):
         with pytest.raises(OutOfRange):
             check_bounds(werner(0.75), family="werner", params=[1.0], er_config=FAST_ER)
@@ -228,6 +233,13 @@ BAD_LIBRARY_INPUTS = {
     "random_state_negative_seed": lambda: random_state(-1),
     "random_state_fractional_seed": lambda: random_state(0.5),
     "random_state_text_seed": lambda: random_state("a"),
+    "random_state_bool_seed": lambda: random_state(True),
+    "random_state_bool_in_seed_sequence": lambda: random_state((True, 0)),
+    "campaign_states_bool_seed": lambda: campaign_states(2, True),
+    "sweep_family_bool_step": lambda: sweep_family("werner", 0, 1, True),
+    "sweep_family_text_start": lambda: sweep_family("werner", "0", 1, 0.5),
+    "sweep_family_none_stop": lambda: sweep_family("werner", 0, None, 0.5),
+    "sweep_family_none_step": lambda: sweep_family("werner", 0, 1, None),
     "campaign_states_bare_number_ranks": lambda: campaign_states(2, 0, ranks=3),
     "campaign_states_array_of_bad_ranks": lambda: campaign_states(2, 0, ranks=np.array([2, 5])),
     "lemma_campaign_fractional_rank": lambda: lemma_campaign(3, 0, ranks=(2.5,)),
@@ -252,6 +264,12 @@ def test_campaign_takes_an_array_of_ranks():
     assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(from_array, from_tuple))
     summary, _ = run_campaign(1, 0, ranks=np.array([1]), er_config=FAST_ER)
     assert json.loads(json.dumps(summary))["ranks"] == [1]
+
+
+def test_campaign_summaries_take_a_numpy_seed():
+    summary, _ = run_campaign(1, np.int64(3), er_config=FAST_ER)
+    assert json.loads(json.dumps(summary))["seed"] == 3
+    assert json.loads(json.dumps(lemma_campaign(1, np.int64(3))))["seed"] == 3
 
 
 def test_check_bounds_builds_the_sdc_letters_once(monkeypatch):
@@ -390,8 +408,6 @@ class TestCli:
             ["verify"],
             ["verify", "--state", "werner:0.75", "--random", "3"],  # --random was ignored
             ["lemma", "--random", "-3"],
-            ["verify", "--random", "2", "--seed", "-1"],  # numpy rejects negative seeds
-            ["lemma", "--random", "2", "--seed", "-3"],
             ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.5",
              "--out", str(tmp_path / "missing" / "sweep.csv")],
         ]
@@ -400,6 +416,22 @@ class TestCli:
             assert proc.returncode == 1, args
             assert proc.stderr.startswith("error: "), (args, proc.stderr)
             assert "Traceback" not in proc.stderr, args
+        for command, seed in (("verify", "-1"), ("lemma", "-3")):  # the seed the user typed
+            proc = run_cli(command, "--random", "2", "--seed", seed)
+            assert proc.returncode == 1, command
+            assert proc.stderr == f"error: seed must be an integer in [0, inf], got {seed}\n"
+
+    def test_capacity_modes_agree(self, capsys):
+        # uniform Pauli letters are optimal, so every mode prints the same numbers
+        for state in ("werner:0.75", "lambda_a:0.4", "lambda_b:0.5", "pure_schmidt:0.8,0.6",
+                      "bell_diagonal:0.7,0.1,0.1,0.1"):
+            docs = []
+            for mode in ("sdc", "gdc", "cgdc-opt"):
+                assert main(["capacity", "--state", state, "--mode", mode]) == 0
+                docs.append(json.loads(capsys.readouterr().out))
+                assert docs[-1].pop("mode") == mode
+            assert docs[0] == docs[1] == docs[2], state
+            assert docs[0]["probs"] == [0.25] * 4
 
     def test_tolerance_env_override(self, tmp_path):
         import os
