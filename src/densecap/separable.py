@@ -4,9 +4,10 @@ For two qubits the separable states are exactly the PPT states (Horodecki,
 Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
 {sigma > 0, sigma^Gamma > 0}: a smooth convex problem in the 15 Pauli
 coordinates of sigma, solved by a path-following log-det barrier method
-with Newton centering steps, each point evaluated once (a _Point).  The
-final sigma is PPT, so the value there bounds E_R from above, and the
-barrier's dual matrix at the same point bounds it from below (_certify).
+with Newton centering steps, rough ones until the t at which the certificate
+runs, each point evaluated once (a _Point).  The final sigma is PPT, so the
+value there bounds E_R from above, and the barrier's dual matrix at the
+same point bounds it from below (_certify).
 sigma is also written as <= 4 product pure states (a SeparableAnsatz).
 
 PPT states exit at their exact product decomposition (lower bound 0), pure
@@ -36,9 +37,11 @@ BARRIER_START = 1.0      # weight t of the objective against the barrier at the 
 BARRIER_GROWTH = 30.0    # factor on t after each centering
 BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER_NU / t of E_R
 CENTERING_TOL = 1e-10    # centered once the Newton decrement is below this share of the value
+ROUGH_CENTERING = 1e-2   # ... or below this, at a t where the certificate does not run
 LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of descent
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
+_STEP_SIZES = 0.5 ** np.arange(LINE_SEARCH_STEPS)
 
 # sigma = I/4 + sum_k x_k P_k / 4 over the 15 Pauli products (block 0), and its partial
 # transpose on B (block 1), where the terms with sigma_y on B change sign
@@ -310,7 +313,8 @@ def _sigmas(x):
 class _Point:
     """A barrier point from one stacked eigh (mu, u) of [sigma, sigma^Gamma]: the objective f
     (inf unless both spectra exceed EIGEN_KEEP_TOL) and logdet = ln det sigma + ln det sigma^Gamma.
-    differentiate adds grad and hess as [objective, barrier -logdet], for newton to weigh by t."""
+    differentiate adds grad and hess as [objective, barrier -logdet], for newton to weigh by t,
+    and diag[g, k, a] = (D_gk)_aa / mu_ga, from which step_sizes rules out trials."""
 
     def __init__(self, x, objective):
         self.x, sigmas, self.f, self.logdet = x, _sigmas(x), math.inf, 0.0
@@ -330,8 +334,8 @@ class _Point:
         d = (_BASES.reshape(2, 15, 16) @ kron).reshape(2, 15, 4, 4)
         grad, hess = objective._newton_data(mu[0], u[0], d[0])
         scaled = (d / np.sqrt(mu[:, None, :, None] * mu[:, None, None, :])).reshape(2, 15, 16)
-        diag = np.diagonal(d, axis1=2, axis2=3).real / mu[:, None]
-        self.grad = np.stack([grad, -diag.sum(axis=(0, 2))])
+        self.diag = np.diagonal(d, axis1=2, axis2=3).real / mu[:, None]
+        self.grad = np.stack([grad, -self.diag.sum(axis=(0, 2))])
         self.hess = np.stack([hess, (scaled @ scaled.conj().swapaxes(1, 2)).real.sum(axis=0)])
         return self
 
@@ -344,6 +348,12 @@ class _Point:
         except np.linalg.LinAlgError:
             step = np.full(15, math.nan)
         return t * self.f - self.logdet, step, -float(grad @ step)
+
+    def step_sizes(self, step):
+        """The line search's sizes 1, 1/2, ... less those at which a diagonal entry of the trial
+        in this point's eigenbases, mu_ga (1 + size (diag @ step)_ga), is negative: not PPT."""
+        leaves = (_STEP_SIZES[:, None, None] * (step @ self.diag) < -1.0).any(axis=(1, 2))
+        return _STEP_SIZES[~leaves]
 
 
 def _certify(point, t, config, iterations):
@@ -392,8 +402,9 @@ def er_numeric(w, config=None):
     not).  Otherwise a path-following barrier method minimizes t S(W || sigma) - ln det sigma
     - ln det sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4 and
     t = BARRIER_START, multiplying t by BARRIER_GROWTH after each centering; each Newton step is
-    one iteration against config.max_iter.  Once BARRIER_NU / t <= gap_tol / BARRIER_GROWTH,
-    each centered point goes to _certify, and the solve returns once value - lower <= gap_tol.
+    one iteration against config.max_iter.  While BARRIER_NU / t > gap_tol, a Newton decrement
+    of ROUGH_CENTERING centers; from the first t with BARRIER_NU / t <= gap_tol, each point
+    centered to CENTERING_TOL goes to _certify, and the solve returns once value - lower <= gap_tol.
     It also ends when the budget is spent or no step descends (the roundoff floor).  value is
     the objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
     product states.  Deterministic.
@@ -420,10 +431,11 @@ def er_numeric(w, config=None):
     point = _Point(np.zeros(15), objective).differentiate(objective)  # I/4
     while iterations < config.max_iter:
         value, step, decrement = point.newton(t)
-        if not decrement > CENTERING_TOL * max(1.0, abs(value)):  # centered at this t
-            # one growth past the barrier's own bound BARRIER_NU / t <= gap_tol: the value then
-            # sits about gap_tol / BARRIER_GROWTH above E_R, and the interval is checked once
-            if BARRIER_NU / t <= config.gap_tol / BARRIER_GROWTH:
+        # the certificate runs from the first t whose bound BARRIER_NU / t is within gap_tol, and
+        # only its point needs tight centering; before it, a rough one keeps the iterate on path
+        certify = BARRIER_NU / t <= config.gap_tol
+        if not decrement > (CENTERING_TOL * max(1.0, abs(value)) if certify else ROUGH_CENTERING):
+            if certify:
                 estimate = _certify(point, t, config, iterations)
                 if estimate.converged:
                     return estimate
@@ -431,7 +443,7 @@ def er_numeric(w, config=None):
             value, step, decrement = point.newton(t)
         iterations += 1
         # backtracking (inf outside the PPT interior); only an accepted trial is differentiated
-        for size in 0.5 ** np.arange(LINE_SEARCH_STEPS):
+        for size in point.step_sizes(step):
             trial = _Point(point.x + size * step, objective)
             if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
                 point = trial.differentiate(objective)

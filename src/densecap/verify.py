@@ -110,6 +110,8 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
     """
     w0 = validate_state(w0)
     e_r_closed = None
+    if family is None and params is not None:
+        raise OutOfRange(f"params {params!r} given without a family")
     if family is not None:
         row, _, args = parse_family(family, params)
         gap = float(np.abs(row.build(*args) - w0).max())

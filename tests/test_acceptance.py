@@ -51,6 +51,8 @@ def campaign_500():
     t0 = time.time()
     summary, reports = run_campaign(500, seed=2024, er_config=ER_CAMPAIGN)
     summary["runtime_s"] = time.time() - t0
+    unconverged = [r.descriptor for r in reports if not r.e_r_numeric_converged]
+    assert not unconverged, f"E_R solve unconverged on {unconverged}"
     return summary, reports
 
 

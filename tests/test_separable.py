@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from densecap import (
 from densecap.errors import OutOfRange
 from densecap.linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
+    _STEP_SIZES,
     REG_EPS,
     ErConfig,
     SeparableAnsatz,
@@ -463,11 +466,17 @@ class TestReportedGap:
             assert estimate.converged and estimate.iterations < 60
 
     def test_slow_state_iteration_budget(self):
-        # state 7 of `verify --random 50 --seed 7`: twice the 117 iterations an SLSQP
-        # reweighting needs; a reweighting that stops short of its optimum took over 1,100
+        # state 7 of `verify --random 50 --seed 7`: 20 Newton steps; centering every t to
+        # CENTERING_TOL and certifying one growth of t later took 34
         estimate = er_numeric(campaign_states(8, 7)[7][0])
         assert estimate.converged
-        assert estimate.iterations <= 234
+        assert estimate.iterations <= 34
+
+    def test_gap_tol_1e8_certifies_on_e2e2(self):
+        # a rough centering looser than ROUGH_CENTERING jams the iterate at the PPT boundary
+        # (lambda_min(sigma^Gamma) ~ 1e-14) on about half of these states at this gap_tol
+        for w_state, _ in campaign_states(30, 7):
+            assert er_numeric(w_state, ErConfig(gap_tol=1e-8)).converged
 
     def test_pure_state_certifies_from_its_schmidt_terms(self):
         for index in (0, 4, 8, 12):  # rank-1 states of `verify --random 50 --seed 7`
@@ -494,6 +503,36 @@ class TestReportedGap:
 
 
 class TestPointRecord:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), near_boundary=st.booleans(),
+           scale=st.floats(1e-3, 1e3))
+    def test_dropped_step_sizes_leave_the_ppt_interior(self, seed, near_boundary, scale):
+        rng = np.random.default_rng(seed)
+        objective = _Objective(random_state(seed=seed, rank=4))
+        x = near_boundary_point(rng) if near_boundary else interior_point(rng)
+        point = _Point(x, objective).differentiate(objective)
+        step = scale * rng.standard_normal(15)
+        kept = point.step_sizes(step)
+        dropped = _STEP_SIZES[: len(_STEP_SIZES) - len(kept)]
+        assert np.array_equal(kept, _STEP_SIZES[len(dropped):])  # only the largest sizes go
+        for size in dropped:
+            assert _Point(x + size * step, objective).f == math.inf
+
+    @pytest.mark.parametrize("index", [1, 3, 5, 6, 7])
+    def test_few_infeasible_trials(self, index, monkeypatch):
+        # trials that a diagonal entry shows to be outside the PPT set are never built, so one
+        # point per Newton step and the start, and at most a few rejected trials in all
+        points, real_point_init = [], _Point.__init__
+
+        def point_init(self, x, objective):
+            points.append(1)
+            real_point_init(self, x, objective)
+
+        monkeypatch.setattr(_Point, "__init__", point_init)
+        estimate = er_numeric(campaign_states(index + 1, 7)[index][0])
+        assert estimate.converged
+        assert len(points) <= estimate.iterations + 5
+
     def test_one_stacked_eigh_per_point_and_none_in_certify(self, monkeypatch):
         # every eigh outside product_decomposition is either a point's stacked [sigma,
         # sigma^Gamma] or a dual probe G - s Z; _certify decomposes neither block on its own

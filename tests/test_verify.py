@@ -248,6 +248,7 @@ BAD_LIBRARY_INPUTS = {
     "er_config_bool_gap_tol": lambda: ErConfig(gap_tol=True),
     "er_numeric_dict_config": lambda: er_numeric(werner(0.9), {"gap_tol": 1e-3}),
     "check_bounds_dict_config": lambda: check_bounds(werner(0.9), er_config={"gap_tol": 1e-3}),
+    "check_bounds_params_without_family": lambda: check_bounds(werner(0.75), params=[0.75]),
 }
 
 
