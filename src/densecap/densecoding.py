@@ -17,7 +17,7 @@ import numpy as np
 
 from .entanglement import PPT_TOL
 from .errors import NonUnitary
-from .infotheory import LetterEnsemble, _relative_entropy, entropy_of_eigenvalues, holevo
+from .infotheory import LetterEnsemble, _relative_entropies, holevo
 from .linalg import (
     ID2, PAULI_PRODUCTS, PAULIS, conjugate_local, is_unitary, partial_trace, partial_transpose,
     tensor,
@@ -108,20 +108,12 @@ def distinguishability(ensemble):
     An upper bound on the ensemble capacity; +inf as soon as one pair with
     nonzero weight has mismatched supports.
     """
-    probs, letters = ensemble.probs, ensemble.letters  # validated, so each is decomposed once here
-    neg_entropies = -entropy_of_eigenvalues(np.linalg.eigvalsh(letters))
-    ev, vec = np.linalg.eigh(letters)
-    total = 0.0
-    for i, wi in enumerate(letters):
-        for j in range(len(letters)):
-            weight = probs[i] * probs[j]
-            if i == j or weight == 0.0:
-                continue
-            term = _relative_entropy(wi, neg_entropies[i], ev[j], vec[j])
-            if math.isinf(term):
-                return math.inf
-            total += weight * term
-    return total
+    weights = np.outer(ensemble.probs, ensemble.probs)
+    pairs = (weights > 0.0) & ~np.eye(len(weights), dtype=bool)
+    terms = _relative_entropies(ensemble.letters, ensemble.letters)[pairs]
+    if np.isinf(terms).any():
+        return math.inf
+    return float(sum(weights[pairs] * terms))  # adds one pair at a time, in row-major (i, j) order
 
 
 # ---------------------------------------------------------------------------

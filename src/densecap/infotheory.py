@@ -4,7 +4,6 @@ so every returned value is in bits; relative entropy may be +inf when the
 first argument has support outside the second's.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +16,9 @@ SUPPORT_WEIGHT_TOL = 1e-10   # sigma weight inside the kernel above this -> +inf
 _NEG_CLAMP = 1e-9            # roundoff negatives up to this are clamped to 0
 
 
-def _clamp(value):
-    if -_NEG_CLAMP < value < 0.0:
-        return 0.0
-    return value
+def _clamp(values):
+    """values with each roundoff negative down to -_NEG_CLAMP replaced by 0, elementwise."""
+    return np.where((-_NEG_CLAMP < values) & (values < 0.0), 0.0, values)
 
 
 def entropy_of_eigenvalues(eigenvalues):
@@ -48,20 +46,21 @@ def relative_entropy(sigma, rho):
     if sigma.shape != rho.shape:
         raise InvalidState(f"dimension mismatch {sigma.shape} vs {rho.shape}")
 
-    return _relative_entropy(sigma, -entropy_of_eigenvalues(np.linalg.eigvalsh(sigma)),
-                             *np.linalg.eigh(rho))
+    return float(_relative_entropies(sigma[None], rho[None])[0, 0])
 
 
-def _relative_entropy(sigma, neg_entropy, ev_rho, vec_rho):
-    """relative_entropy of validated states from -S(sigma) and the eigh (ev_rho, vec_rho) of rho."""
-    weights = np.einsum("ij,jk,ki->i", vec_rho.conj().T, sigma, vec_rho).real
-    weights = np.clip(weights, 0.0, None)
-    kernel = ev_rho < SUPPORT_KERNEL_TOL
-    if weights[kernel].sum() > SUPPORT_WEIGHT_TOL:
-        return math.inf
-
-    supported = ~kernel
-    return _clamp(neg_entropy - float(weights[supported] @ np.log2(ev_rho[supported])))
+def _relative_entropies(sigmas, rhos):
+    """The (k, m) array of S(sigma_i || rho_j) for validated (k, n, n) and (m, n, n) stacks, each
+    entry by relative_entropy's rule, from one eigvalsh of the sigmas and one eigh of the rhos."""
+    neg_entropies = -entropy_of_eigenvalues(np.linalg.eigvalsh(sigmas))
+    ev, vec = np.linalg.eigh(rhos)
+    weights = np.einsum("jba,ibc,jca->ija", vec.conj(), sigmas, vec).real.clip(0.0, None)
+    kernel = ev < SUPPORT_KERNEL_TOL
+    log_ev = np.log2(np.where(kernel, 1.0, ev))  # 0 on the kernel, so its weights drop out
+    # one (1, n) @ (n, 1) dot per pair adds its terms in a 1-D dot's order, unlike .sum(-1)
+    cross = (weights[:, :, None, :] @ log_ev[None, :, :, None])[:, :, 0, 0]
+    values = _clamp(neg_entropies[:, None] - cross)
+    return np.where((weights * kernel).sum(-1) > SUPPORT_WEIGHT_TOL, np.inf, values)
 
 
 @dataclass(frozen=True)
@@ -90,4 +89,4 @@ def holevo(ensemble):
     stack = np.concatenate([ensemble.average()[None], ensemble.letters])
     avg_entropy, *entropies = entropy_of_eigenvalues(np.linalg.eigvalsh(stack))
     letter_term = sum(p * s for p, s in zip(ensemble.probs, entropies) if p > 0.0)
-    return _clamp(avg_entropy - letter_term)
+    return float(_clamp(avg_entropy - letter_term))

@@ -36,7 +36,10 @@ SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 
 def _require_4x4(m):
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise BadDimension(f"expected a 4x4 matrix, got {type(m).__name__} ({exc})") from exc
     if m.shape != (4, 4):
         raise BadDimension(f"expected a 4x4 matrix, got shape {m.shape}")
     return m

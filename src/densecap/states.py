@@ -42,18 +42,23 @@ def projector(vec):
 def validate_state(rho, name="state", sizes=(4,)):
     """Check the density-matrix invariants of an n x n matrix, n in sizes (a two-qubit state
     unless told otherwise), returning rho as complex ndarray."""
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidState(f"{name}: not a numeric matrix ({exc})") from exc
     if rho.shape not in [(n, n) for n in sizes]:
         expected = " or ".join(f"{n}x{n}" for n in sizes)
         raise InvalidState(f"{name}: expected {expected}, got {rho.shape}")
-    herm_err = np.abs(rho - rho.conj().T).max()
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge entry fails a test below
+        herm_err = np.abs(rho - rho.conj().T).max()
+        trace = rho.trace()
     # any inf or nan entry makes the residual inf or nan, so one scalar test finds it
     if not math.isfinite(herm_err):
         raise InvalidState(f"{name}: has non-finite entries")
     if herm_err > STATE_HERM_TOL:
         raise InvalidState(f"{name}: not Hermitian within {STATE_HERM_TOL:.0e}")
-    if abs(rho.trace().real - 1.0) > STATE_TRACE_TOL or abs(rho.trace().imag) > STATE_TRACE_TOL:
-        raise InvalidState(f"{name}: trace {rho.trace():.6g} != 1")
+    if abs(trace.real - 1.0) > STATE_TRACE_TOL or abs(trace.imag) > STATE_TRACE_TOL:
+        raise InvalidState(f"{name}: trace {trace:.6g} != 1")
     if np.linalg.eigvalsh(rho).min() < -STATE_PSD_TOL:
         raise InvalidState(f"{name}: negative eigenvalue beyond {STATE_PSD_TOL:.0e}")
     return rho
@@ -72,9 +77,12 @@ def binary_entropy(x):
 def check_simplex(probs, n=None):
     """Validate a probability vector; returns it as a float array."""
     try:
-        p = np.asarray(probs, dtype=float)
+        p = np.asarray(probs)
+        if p.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+            raise TypeError("complex probabilities")
+        p = p.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
-        raise NotASimplex(f"probabilities {probs!r} are not numbers") from exc
+        raise NotASimplex(f"probabilities {probs!r} are not real numbers") from exc
     if p.ndim != 1 or p.size == 0 or (n is not None and p.size != n):
         raise NotASimplex(f"expected {n or 'some'} probabilities, got shape {p.shape}")
     # the accepting condition, negated, so that a NaN entry fails it
@@ -98,14 +106,17 @@ def check_real(value, name):
 
 
 def _check_unit_interval(x, name):
-    x = float(x)
+    x = check_real(x, name)
     if not 0.0 <= x <= 1.0:
         raise OutOfRange(f"{name} = {x} outside [0, 1]")
     return x
 
 
 def _schmidt_amplitudes(a, b):
-    a, b = complex(a), complex(b)
+    try:
+        a, b = complex(a), complex(b)
+    except (TypeError, ValueError) as exc:
+        raise NotNormalized(f"amplitudes {a!r}, {b!r} are not numbers") from exc
     norm = abs(a) ** 2 + abs(b) ** 2
     if not abs(norm - 1.0) <= 1e-12:
         raise NotNormalized(f"|a|^2 + |b|^2 = {norm:.15g}")
@@ -121,7 +132,7 @@ def pure_schmidt(a, b):
 
 def bell(which):
     """Projector onto one of the four Bell states ('phi+','phi-','psi+','psi-')."""
-    key = which.lower().replace("−", "-")
+    key = which.lower().replace("−", "-") if isinstance(which, str) else None
     if key not in BELL_VECTORS:
         raise OutOfRange(f"unknown Bell label {which!r}")
     return projector(BELL_VECTORS[key])
@@ -143,10 +154,11 @@ def lambda_b(lam):
 
 def werner(fidelity):
     """Weight-F singlet mixed evenly with the other three Bell states."""
-    return bell_diagonal(_werner_weights(_check_unit_interval(fidelity, "fidelity")))
+    return bell_diagonal(_werner_weights(fidelity))
 
 
-def _werner_weights(f):
+def _werner_weights(fidelity):
+    f = _check_unit_interval(fidelity, "fidelity")
     return np.array([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3])
 
 
@@ -249,14 +261,6 @@ def _lambda_b_capacity(lam):
     return 1.0 + _lambda_b_er(lam)  # C <= 1 + E_R holds with equality on this family
 
 
-def _werner_capacity(f):
-    return _bell_diagonal_capacity(_werner_weights(f))
-
-
-def _werner_er(f):
-    return _bell_diagonal_er(_werner_weights(f))
-
-
 def _bell_diagonal_capacity(weights):
     return max(2.0 + sum(xlog2x(w) for w in weights), 0.0)
 
@@ -312,7 +316,9 @@ FAMILIES = {
     ),
     "lambda_a": Family({1: _unit_form("lambda")}, lambda_a, _lambda_a_capacity, _lambda_a_er),
     "lambda_b": Family({1: _unit_form("lambda")}, lambda_b, _lambda_b_capacity, _lambda_b_er),
-    "werner": Family({1: _unit_form("fidelity")}, werner, _werner_capacity, _werner_er),
+    # a Werner state is the Bell-diagonal row at weights (F, (1-F)/3, (1-F)/3, (1-F)/3)
+    "werner": Family({1: lambda p: (_werner_weights(p[0]),)},
+                     bell_diagonal, _bell_diagonal_capacity, _bell_diagonal_er),
     "bell_diagonal": Family(
         {4: lambda p: (check_simplex(p, n=4),)},
         bell_diagonal,

@@ -273,15 +273,21 @@ class TestDistinguishability:
         st.just(bell("phi+")),
         st.builds(lambda seed, rank: random_state(seed=seed, rank=rank),
                   st.integers(0, 2**32 - 1), st.integers(1, 4)),
-    ))
-    def test_equals_the_pairwise_relative_entropies(self, w0):
+    ), counts=st.lists(st.integers(0, 3), min_size=4, max_size=4).filter(any))
+    def test_equals_the_pairwise_relative_entropies(self, w0, counts):
         # each letter is decomposed once, yet the sum is the same to the last bit (inf for a
-        # Bell state, whose letters are orthogonal pure states)
-        ensemble = sdc_letters(w0)
+        # Bell state, whose letters are orthogonal pure states); a zero-weight pair adds
+        # nothing, even where its letters' supports differ
+        ensemble = gdc_ensemble(w0, np.array(counts) / sum(counts))
         p, letters = ensemble.probs, ensemble.letters
         expected = sum(p[i] * p[j] * relative_entropy(letters[i], letters[j])
-                       for i, j in itertools.permutations(range(4), 2))
+                       for i, j in itertools.permutations(range(4), 2) if p[i] * p[j] > 0.0)
         assert distinguishability(ensemble) == expected
+
+    def test_one_hot_priors_give_zero(self):
+        # the other letters of a rank-2 state have other supports, but they are never sent
+        ensemble = gdc_ensemble(random_state(seed=3, rank=2), [0.0, 1.0, 0.0, 0.0])
+        assert distinguishability(ensemble) == 0.0
 
     def test_upper_bounds_capacity_on_random_ensembles(self):
         rng = np.random.default_rng(4242)

@@ -5,24 +5,35 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import densecap
 from densecap import (
+    CgdcEncoding,
+    LetterEnsemble,
     bell,
     bell_diagonal,
+    capacity,
     capacity_closed_form,
     check_bounds,
     er_closed_form,
     er_numeric,
+    gdc_ensemble,
+    lambda_a,
     lambda_b,
     partial_trace,
     partial_transpose,
+    pure_schmidt,
     random_state,
     run_campaign,
     sweep_family,
+    validate_state,
     werner,
 )
 from densecap.cli import main
-from densecap.errors import OutOfRange
+from densecap.errors import BadDimension, DensecapError, InvalidState, OutOfRange
 from densecap.separable import ErConfig
 from densecap.verify import (
     campaign_states,
@@ -249,13 +260,75 @@ BAD_LIBRARY_INPUTS = {
     "er_numeric_dict_config": lambda: er_numeric(werner(0.9), {"gap_tol": 1e-3}),
     "check_bounds_dict_config": lambda: check_bounds(werner(0.9), er_config={"gap_tol": 1e-3}),
     "check_bounds_params_without_family": lambda: check_bounds(werner(0.75), params=[0.75]),
+    "werner_bool_fidelity": lambda: werner(True),
+    "werner_none_fidelity": lambda: werner(None),
+    "lambda_a_text": lambda: lambda_a("x"),
+    "bell_integer_label": lambda: bell(5),
+    "pure_schmidt_none_amplitudes": lambda: pure_schmidt(None, None),
+    "gdc_ensemble_complex_priors": lambda: capacity(gdc_ensemble(werner(0.9), COMPLEX_PRIORS)),
+    "bell_diagonal_complex_weights": lambda: bell_diagonal(COMPLEX_PRIORS),
+    "letter_ensemble_complex_priors": lambda: LetterEnsemble([werner(0.9)] * 4, COMPLEX_PRIORS),
+    "cgdc_encoding_complex_priors": lambda: CgdcEncoding((np.eye(2),) * 4, COMPLEX_PRIORS),
+    "check_bounds_text_state": lambda: check_bounds("x"),
+    "validate_state_dict": lambda: validate_state({}),
+    "partial_transpose_text": lambda: partial_transpose("x"),
+}
+COMPLEX_PRIORS = np.array([0.25 + 0.3j, 0.25, 0.25, 0.25])
+# the cases that a state or matrix check rejects with its own DensecapError; the rest raise
+# OutOfRange (or its NotNormalized and NotASimplex)
+BAD_LIBRARY_INPUT_ERRORS = {
+    "check_bounds_text_state": InvalidState,
+    "validate_state_dict": InvalidState,
+    "partial_transpose_text": BadDimension,
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_LIBRARY_INPUTS))
 def test_bad_library_inputs_raise_out_of_range(name):
-    with pytest.raises(OutOfRange):
+    with pytest.raises(BAD_LIBRARY_INPUT_ERRORS.get(name, OutOfRange)):
         BAD_LIBRARY_INPUTS[name]()
+
+
+# every public callable that takes one two-qubit state and nothing else it needs
+ONE_STATE_CALLABLES = {
+    name: getattr(densecap, name) for name in (
+        "check_bounds", "concurrence", "entanglement_of_formation", "entropy_of_entanglement",
+        "er_numeric", "hashing_distillable", "is_ppt", "optimize_cgdc", "optimize_gdc_probs",
+        "partial_transpose", "sdc_average_check", "sdc_letters", "to_pauli", "validate_state",
+        "von_neumann",
+    )
+} | {"partial_trace": lambda w: partial_trace(w, "A")}
+
+W075 = werner(0.75)
+ODD_VALUES = [
+    None, True, 0, -1, 0.5, math.nan, math.inf, "x", "", [], [0.5], (1, 2), {},
+    np.zeros((4, 4)), np.eye(4), np.full((4, 4), math.nan), np.full((4, 4), -math.inf),
+    np.full((4, 4), 1e308), np.eye(2) / 2, np.eye(3) / 3, np.eye(8) / 8,
+    np.triu(np.ones((4, 4))) / 4, W075.astype(np.complex64), np.diag([0.25] * 4).astype(np.float32),
+    W075.tolist(), W075.astype(object), np.eye(4, dtype=int), np.array(0.5), np.full(4, 0.25),
+    [["x"] * 4] * 4, [[1, 2], [3]], W075[None],
+]
+ODD_ARRAYS = hnp.arrays(
+    st.sampled_from([float, complex, int, bool]),
+    hnp.array_shapes(max_dims=3, max_side=5),
+    elements={"allow_nan": True, "allow_infinity": True},
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(st.floats(), ODD_ARRAYS))
+def test_one_state_callables_answer_or_raise_a_densecap_error(value):
+    for call in ONE_STATE_CALLABLES.values():
+        try:
+            call(value)
+        except DensecapError:
+            pass
+
+
+for _value in ODD_VALUES:  # each runs on every callable, before the drawn values
+    test_one_state_callables_answer_or_raise_a_densecap_error = example(value=_value)(
+        test_one_state_callables_answer_or_raise_a_densecap_error
+    )
 
 
 def test_campaign_takes_an_array_of_ranks():
