@@ -11,11 +11,11 @@ import json
 import sys
 from pathlib import Path
 
-from .densecoding import capacity, gdc_ensemble, sdc_letters
+from .densecoding import UNIFORM4, capacity, gdc_ensemble
 from .entanglement import concurrence, entanglement_of_formation, er_closed_form, is_ppt
 from .separable import er_numeric
 from .states import FAMILIES, state_from_json_dict
-from .errors import DensecapError, InvalidState
+from .errors import DensecapError, InvalidState, OutOfRange
 from .verify import (
     SWEEPABLE,
     check_bounds,
@@ -24,6 +24,14 @@ from .verify import (
     sweep_family,
     write_sweep_csv,
 )
+
+
+def to_floats(text, what):
+    """The floats of a comma-separated list, empty items skipped; else OutOfRange, naming what."""
+    try:
+        return [float(item) for item in text.split(",") if item]
+    except ValueError as exc:
+        raise OutOfRange(f"{what} {text!r} are not a list of numbers") from exc
 
 
 def parse_state_arg(text):
@@ -42,7 +50,7 @@ def parse_state_arg(text):
             f"family:params form (families: {', '.join(FAMILIES)})"
         )
     family, _, raw = text.partition(":")
-    return state_from_json_dict({"family": family, "params": [x for x in raw.split(",") if x]})
+    return state_from_json_dict({"family": family, "params": to_floats(raw, f"{family} parameters")})
 
 
 def _emit(payload):
@@ -54,9 +62,8 @@ def cmd_capacity(args):
         raise DensecapError(f"--probs sets the priors of --mode gdc; --mode {args.mode} takes none")
     rho, _, _ = parse_state_arg(args.state)
     # uniform Pauli letters are the optimum of every mode (see densecoding.optimize_gdc_probs)
-    ensemble = sdc_letters(rho) if args.probs is None else gdc_ensemble(rho, args.probs.split(","))
-    probs = [float(p) for p in ensemble.probs]
-    _emit({"capacity_bits": capacity(ensemble), "mode": args.mode, "probs": probs})
+    ensemble = gdc_ensemble(rho, UNIFORM4 if args.probs is None else to_floats(args.probs, "--probs"))
+    _emit({"capacity_bits": capacity(ensemble), "mode": args.mode, "probs": ensemble.probs.tolist()})
     return 0
 
 

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import PPT_TOL
-from .errors import NonUnitary
 from .infotheory import LetterEnsemble, _relative_entropies, holevo
 from .linalg import (
-    ID2, PAULI_PRODUCTS, PAULIS, conjugate_local, is_unitary, partial_trace, partial_transpose,
-    tensor,
+    ID2, PAULI_PRODUCTS, PAULIS, check_unitary, conjugate_local, partial_trace, partial_transpose,
 )
-from .states import check_simplex, parse_family, validate_state
+from .states import check_each, check_instance, check_simplex, parse_family, validate_state
 
 UNIFORM4 = np.full(4, 0.25)
 
@@ -47,18 +45,14 @@ class CgdcEncoding:
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "unitaries", tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
-        )
-        object.__setattr__(self, "probs", check_simplex(self.probs, n=len(self.unitaries)))
-        for i, u in enumerate(self.unitaries):
-            if u.shape != (2, 2) or not is_unitary(u):
-                raise NonUnitary(f"encoding operator {i} is not a 2x2 unitary")
+        unitaries = tuple(check_each(self.unitaries, check_unitary, "encoding unitaries"))
+        object.__setattr__(self, "unitaries", unitaries)
+        object.__setattr__(self, "probs", check_simplex(self.probs, n=len(unitaries)))
 
 
 def cgdc_ensemble(w0, encoding):
     """Letters W_i = (U_i x I) W0 (U_i x I)^dag with the encoding's priors."""
-    w0 = validate_state(w0)
+    w0, encoding = validate_state(w0), check_instance(encoding, CgdcEncoding, "encoding")
     letters = [conjugate_local(w0, u) for u in encoding.unitaries]
     return LetterEnsemble(letters=letters, probs=encoding.probs.copy())
 
@@ -90,7 +84,7 @@ def sdc_average_check(w0):
 def _sdc_average_check(w0, ensemble):
     """sdc_average_check(w0), given w0's SDC ensemble (check_bounds builds it once)."""
     avg = ensemble.average()
-    target = tensor(ID2 / 2, partial_trace(w0, over="A"))
+    target = np.kron(ID2 / 2, partial_trace(w0, over="A"))
     err = float(np.abs(avg - target).max())
     ppt = bool(np.linalg.eigvalsh(partial_transpose(avg)).min() >= -PPT_TOL)
     return SdcAverageCheck(average=avg, product_form_error=err, ppt=ppt)
@@ -108,7 +102,7 @@ def distinguishability(ensemble):
     An upper bound on the ensemble capacity; +inf as soon as one pair with
     nonzero weight has mismatched supports.
     """
-    weights = np.outer(ensemble.probs, ensemble.probs)
+    weights = np.outer(check_instance(ensemble, LetterEnsemble, "ensemble").probs, ensemble.probs)
     pairs = (weights > 0.0) & ~np.eye(len(weights), dtype=bool)
     terms = _relative_entropies(ensemble.letters, ensemble.letters)[pairs]
     if np.isinf(terms).any():

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState
-from .states import check_simplex, validate_state
+from .linalg import as_numbers
+from .states import check_instance, check_simplex, validate_state
 
 SUPPORT_KERNEL_TOL = 1e-12   # eigenvalues of rho below this define its kernel
 SUPPORT_WEIGHT_TOL = 1e-10   # sigma weight inside the kernel above this -> +inf
@@ -72,11 +73,12 @@ class LetterEnsemble:
     probs: np.ndarray
 
     def __post_init__(self):
-        letters = [validate_state(w, f"letter {i}", (2, 4)) for i, w in enumerate(self.letters)]
+        # as_numbers fails a ragged list, such as a mix of qubit and two-qubit states
+        letters = np.array(as_numbers(self.letters, InvalidState, "letters"), dtype=complex, ndmin=1)
+        for i, w in enumerate(letters):
+            validate_state(w, f"letter {i}", (2, 4))
         object.__setattr__(self, "probs", check_simplex(self.probs, n=len(letters)))
-        if len({w.shape for w in letters}) > 1:
-            raise InvalidState("letters mix single-qubit and two-qubit states")
-        object.__setattr__(self, "letters", np.array(letters))
+        object.__setattr__(self, "letters", letters)
 
     def average(self):
         """The mixture sum_i p_i W_i sent over the channel."""
@@ -86,6 +88,7 @@ class LetterEnsemble:
 def holevo(ensemble):
     """Holevo quantity S(W) - sum_i p_i S(W_i) of an ensemble, in bits, from one eigvalsh of
     the stack [W, W_1, ..., W_k] and one entropy call."""
+    ensemble = check_instance(ensemble, LetterEnsemble, "ensemble")
     stack = np.concatenate([ensemble.average()[None], ensemble.letters])
     avg_entropy, *entropies = entropy_of_eigenvalues(np.linalg.eigvalsh(stack))
     letter_term = sum(p * s for p, s in zip(ensemble.probs, entropies) if p > 0.0)

@@ -11,20 +11,37 @@ from .errors import BadDimension, NonUnitary, OutOfRange
 UNITARY_TOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def dagger(m):
-    return m.conj().T
+def as_numbers(value, error, what, kinds="iufc"):
+    """np.asarray(value) if its dtype kind is in kinds (no bools, text or objects); else error."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:  # a ragged nested list
+        raise error(f"{what}: not an array of numbers ({exc})") from exc
+    if array.dtype.kind not in kinds:
+        raise error(f"{what}: entries of dtype {array.dtype} are not numbers")
+    return array
+
+
+def check_choice(value, choices, name):
+    """value if it is a string among choices; else OutOfRange."""
+    if not (isinstance(value, str) and value in choices):
+        raise OutOfRange(f"{name} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def tensor(a, b):
-    """Kronecker product with the first factor on the high (Alice) qubit."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product, first factor on the high (Alice) qubit; OutOfRange on a non-finite entry."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry fails the test below
+        out = np.kron(*(as_numbers(m, OutOfRange, "tensor factor").astype(complex) for m in (a, b)))
+    if not np.isfinite(out).all():
+        raise OutOfRange("tensor: a factor or a product entry is not finite")
+    return out
 
 
 # the 15 Pauli products: sigma_m x I, then I x sigma_m, then sigma_m x sigma_n (n fastest)
@@ -35,13 +52,11 @@ PAULI_PRODUCTS = np.stack(
 SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 
-def _require_4x4(m):
-    try:
-        m = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise BadDimension(f"expected a 4x4 matrix, got {type(m).__name__} ({exc})") from exc
-    if m.shape != (4, 4):
-        raise BadDimension(f"expected a 4x4 matrix, got shape {m.shape}")
+def as_matrix(m, sizes, error=BadDimension, name="matrix"):
+    """m as a complex n x n ndarray, n in sizes, if its entries are numbers; else error."""
+    m = as_numbers(m, error, name).astype(complex, copy=False)
+    if m.shape not in [(n, n) for n in sizes]:
+        raise error(f"{name}: expected {' or '.join(f'{n}x{n}' for n in sizes)}, got shape {m.shape}")
     return m
 
 
@@ -50,29 +65,26 @@ def partial_trace(m, over):
 
     over="A" removes Alice's (left) qubit, over="B" removes Bob's.
     """
-    m = _require_4x4(m).reshape(2, 2, 2, 2)
-    if over == "A":
+    m = as_matrix(m, (4,)).reshape(2, 2, 2, 2)
+    if check_choice(over, ("A", "B"), "subsystem") == "A":
         return np.einsum("ijik->jk", m)
-    if over == "B":
-        return np.einsum("ijkj->ik", m)
-    raise OutOfRange(f"subsystem must be 'A' or 'B', got {over!r}")
+    return np.einsum("ijkj->ik", m)
 
 
 def partial_transpose(m, on="B"):
     """Transpose the indices of one qubit of a 4x4 operator."""
-    m = _require_4x4(m).reshape(2, 2, 2, 2)
-    if on == "A":
-        out = m.transpose(2, 1, 0, 3)
-    elif on == "B":
-        out = m.transpose(0, 3, 2, 1)
-    else:
-        raise OutOfRange(f"subsystem must be 'A' or 'B', got {on!r}")
-    return out.reshape(4, 4)
+    m = as_matrix(m, (4,)).reshape(2, 2, 2, 2)
+    axes = (2, 1, 0, 3) if check_choice(on, ("A", "B"), "subsystem") == "A" else (0, 3, 2, 1)
+    return m.transpose(axes).reshape(4, 4)
 
 
-def is_unitary(u):
-    u = np.asarray(u, dtype=complex)
-    return bool(np.abs(u @ dagger(u) - np.eye(u.shape[0])).max() <= UNITARY_TOL)
+def check_unitary(u):
+    """u as a complex ndarray if a 2x2 unitary within UNITARY_TOL; else BadDimension or NonUnitary."""
+    u = as_matrix(u, (2,))
+    # an entry of modulus above 1, inf or NaN fails before it reaches the product
+    if not (np.abs(u).max() <= 1 + UNITARY_TOL and np.abs(u @ u.conj().T - ID2).max() <= UNITARY_TOL):
+        raise NonUnitary(f"local operation is not unitary within {UNITARY_TOL:.0e}")
+    return u
 
 
 def conjugate_local(w, u):
@@ -80,11 +92,8 @@ def conjugate_local(w, u):
 
     Returns (U x I) W (U x I)^dag; spectrum and trace are preserved.
     """
-    w = _require_4x4(w)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise BadDimension(f"expected a 2x2 unitary, got shape {u.shape}")
-    if not is_unitary(u):
-        raise NonUnitary(f"local operation is not unitary within {UNITARY_TOL:.0e}")
-    big = tensor(u, ID2)
-    return big @ w @ dagger(big)
+    w = as_matrix(w, (4,))
+    if not np.isfinite(w).all():
+        raise OutOfRange("conjugate_local: the operator has non-finite entries")
+    big = tensor(check_unitary(u), ID2)
+    return big @ w @ big.conj().T

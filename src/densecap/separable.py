@@ -24,7 +24,7 @@ from .entanglement import hashing_distillable, is_ppt
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
-from .states import check_integer, check_real, validate_state
+from .states import check_instance, check_integer, check_real, validate_state
 
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
@@ -409,9 +409,7 @@ def er_numeric(w, config=None):
     the objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
     product states.  Deterministic.
     """
-    config = ErConfig() if config is None else config
-    if not isinstance(config, ErConfig):
-        raise OutOfRange(f"E_R config must be an ErConfig, got {type(config).__name__}")
+    config = check_instance(ErConfig() if config is None else config, ErConfig, "E_R config")
     w = validate_state(w)
     objective = _Objective(w)
 

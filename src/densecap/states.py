@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidState, NotASimplex, NotNormalized, OutOfRange
-from .linalg import PAULI_PRODUCTS
+from .linalg import PAULI_PRODUCTS, as_matrix, as_numbers, check_choice
 
 STATE_HERM_TOL = 1e-12
 STATE_TRACE_TOL = 1e-12
@@ -42,13 +42,7 @@ def projector(vec):
 def validate_state(rho, name="state", sizes=(4,)):
     """Check the density-matrix invariants of an n x n matrix, n in sizes (a two-qubit state
     unless told otherwise), returning rho as complex ndarray."""
-    try:
-        rho = np.asarray(rho, dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise InvalidState(f"{name}: not a numeric matrix ({exc})") from exc
-    if rho.shape not in [(n, n) for n in sizes]:
-        expected = " or ".join(f"{n}x{n}" for n in sizes)
-        raise InvalidState(f"{name}: expected {expected}, got {rho.shape}")
+    rho = as_matrix(rho, sizes, InvalidState, name)
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or huge entry fails a test below
         herm_err = np.abs(rho - rho.conj().T).max()
         trace = rho.trace()
@@ -70,19 +64,14 @@ def xlog2x(x):
 
 
 def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
+    """h(x) = -x log2 x - (1-x) log2 (1-x), h(0) = h(1) = 0, for a real x in [0, 1] up to 1e-9."""
+    x = _check_unit_interval(x, "binary entropy argument", tol=1e-9)
     return 0.0 - xlog2x(x) - xlog2x(1.0 - x)  # 0.0 first keeps h(0) at +0.0
 
 
 def check_simplex(probs, n=None):
-    """Validate a probability vector; returns it as a float array."""
-    try:
-        p = np.asarray(probs)
-        if p.dtype.kind == "c":  # a cast to float would drop the imaginary parts
-            raise TypeError("complex probabilities")
-        p = p.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise NotASimplex(f"probabilities {probs!r} are not real numbers") from exc
+    """Validate a probability vector of real numbers (no bools, text or objects); returns floats."""
+    p = as_numbers(probs, NotASimplex, "probabilities", kinds="iuf").astype(float, copy=False)
     if p.ndim != 1 or p.size == 0 or (n is not None and p.size != n):
         raise NotASimplex(f"expected {n or 'some'} probabilities, got shape {p.shape}")
     # the accepting condition, negated, so that a NaN entry fails it
@@ -100,24 +89,38 @@ def check_integer(value, name, lo, hi):
 
 def check_real(value, name):
     """value as a float if it is a real number, not a bool; else OutOfRange."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise OutOfRange(f"{name} must be a real number, got {value!r}")
     return float(value)
 
 
-def _check_unit_interval(x, name):
+def check_instance(value, cls, name):
+    """value if it is a cls; else OutOfRange."""
+    if not isinstance(value, cls):
+        raise OutOfRange(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def check_each(values, check, name):
+    """[check(value) for value in values]; OutOfRange if values is not iterable."""
+    try:
+        return [check(value) for value in values]
+    except TypeError:  # not iterable: a bare number, say
+        raise OutOfRange(f"{name} must be a sequence, got {values!r}") from None
+
+
+def _check_unit_interval(x, name, tol=0.0):
     x = check_real(x, name)
-    if not 0.0 <= x <= 1.0:
+    if not -tol <= x <= 1.0 + tol:
         raise OutOfRange(f"{name} = {x} outside [0, 1]")
     return x
 
 
 def _schmidt_amplitudes(a, b):
-    try:
-        a, b = complex(a), complex(b)
-    except (TypeError, ValueError) as exc:
-        raise NotNormalized(f"amplitudes {a!r}, {b!r} are not numbers") from exc
-    norm = abs(a) ** 2 + abs(b) ** 2
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Complex) for x in (a, b)):
+        raise NotNormalized(f"amplitudes {a!r}, {b!r} are not numbers")
+    a, b = complex(a), complex(b)
+    norm = abs(a) * abs(a) + abs(b) * abs(b)  # not ** 2, which raises OverflowError past 1e154
     if not abs(norm - 1.0) <= 1e-12:
         raise NotNormalized(f"|a|^2 + |b|^2 = {norm:.15g}")
     return a, b
@@ -194,6 +197,7 @@ def to_pauli(rho):
 
 def from_pauli(dec):
     """Rebuild the 4x4 state from Pauli coefficients; must be a valid state."""
+    dec = check_instance(dec, PauliDecomposition, "Pauli decomposition")
     coeffs = np.concatenate([dec.r, dec.s, np.ravel(dec.t)])
     rho = (np.eye(4, dtype=complex) + np.tensordot(coeffs, PAULI_PRODUCTS, 1)) / 4.0
     return validate_state(rho, "from_pauli output")
@@ -208,13 +212,9 @@ def random_state(seed, rank=4):
     almost surely.
     """
     rank = check_integer(rank, "rank", 1, 4)
-    parts = seed if isinstance(seed, (tuple, list)) else [seed]
-    try:
-        if any(isinstance(part, bool) for part in parts):  # numpy would take True for seed 1
-            raise TypeError("a bool seed")
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:  # numpy rejects negative, fractional and text seeds
-        raise OutOfRange(f"seed {seed!r} is not a non-negative integer or a sequence of them") from exc
+    parts = seed if isinstance(seed, (tuple, list, np.ndarray)) else [seed]
+    check_each(parts, lambda part: check_integer(part, "seed", 0, math.inf), "seed")
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     rho = g @ g.conj().T
     rho /= rho.trace().real
@@ -336,15 +336,8 @@ def parse_family(name, params):
     name, a non-numeric parameter, a parameter count the family does not
     take, or a value outside the family's domain.
     """
-    family = FAMILIES.get(name) if isinstance(name, str) else None
-    if family is None:
-        raise OutOfRange(f"unknown family {name!r} (families: {', '.join(FAMILIES)})")
-    try:
-        if isinstance(params, str):  # its characters would pass for parameters
-            raise TypeError("a string is not a parameter list")
-        values = [float(p) for p in params]
-    except (TypeError, ValueError) as exc:
-        raise OutOfRange(f"{name} parameters {params!r} are not a list of numbers") from exc
+    family = FAMILIES[check_choice(name, FAMILIES, "family")]
+    values = check_each(params, lambda p: check_real(p, f"{name} parameter"), f"{name} parameters")
     form = family.forms.get(len(values))
     if form is None:
         counts = " or ".join(str(n) for n in family.forms)
@@ -365,7 +358,7 @@ def build_family_state(name, params):
 
 def state_to_json_dict(rho):
     """Serialize a state to the shared JSON schema, as an explicit matrix."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate_state(rho)
     return {
         "family": "explicit",
         "params": [],
@@ -381,7 +374,8 @@ def state_from_json_dict(doc):
     if name == "explicit":
         try:
             mat = doc["matrix"]
-            rho = np.asarray(mat["re"], dtype=float) + 1j * np.asarray(mat["im"], dtype=float)
+            re, im = (as_numbers(mat[k], InvalidState, f"matrix.{k}", "iuf") for k in ("re", "im"))
+            rho = re + 1j * im
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidState(
                 f"explicit state needs numeric matrix.re and matrix.im ({type(exc).__name__}: {exc})"

@@ -20,15 +20,14 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .densecoding import (
-    _sdc_average_check, capacity, capacity_closed_form, distinguishability, sdc_average_check,
-    sdc_letters,
+    _sdc_average_check, capacity, distinguishability, sdc_average_check, sdc_letters,
 )
-from .entanglement import (
-    entanglement_of_formation, entropy_of_entanglement, er_closed_form, hashing_distillable,
-)
+from .entanglement import entanglement_of_formation, entropy_of_entanglement, hashing_distillable
 from .errors import NotPure, OutOfRange
 from .separable import ErConfig, er_numeric
-from .states import FAMILIES, check_integer, check_real, parse_family, random_state, validate_state
+from .states import (
+    FAMILIES, check_each, check_integer, check_real, parse_family, random_state, validate_state,
+)
 
 CLOSED_FORM_TOL = 1e-9
 LEMMA_TOL = 1e-12
@@ -190,8 +189,6 @@ SWEEPABLE = tuple(name for name, family in FAMILIES.items() if 1 in family.forms
 
 def sweep_family(family, start, stop, step):
     """Closed-form capacity and E_R rows over a parameter grid, in order."""
-    if family not in SWEEPABLE:
-        raise OutOfRange(f"sweep supports {SWEEPABLE}, got {family!r}")
     start, stop, step = check_real(start, "start"), check_real(stop, "stop"), check_real(step, "step")
     if not 0.0 < step < math.inf:
         raise OutOfRange(f"step must be positive and finite, got {step}")
@@ -207,9 +204,9 @@ def sweep_family(family, start, stop, step):
         if param > stop + 1e-12:
             break
         param = min(param, 1.0)
-        e_r = er_closed_form(family, [param])
-        c = capacity_closed_form(family, [param])
-        rows.append(SweepRow(param=param, e_r=e_r, c=c, one_plus_er=1.0 + e_r))
+        row, _, args = parse_family(family, [param])
+        e_r = row.e_r(*args)
+        rows.append(SweepRow(param=param, e_r=e_r, c=row.capacity(*args), one_plus_er=1.0 + e_r))
     return rows
 
 
@@ -233,10 +230,7 @@ def campaign_states(n_states, seed, ranks=(1, 2, 3, 4)):
     """Deterministic list of (state, descriptor) pairs for a campaign."""
     check_integer(n_states, "n_states", 1, math.inf)
     seed = check_integer(seed, "seed", 0, math.inf)
-    try:
-        ranks = [check_integer(rank, "rank", 1, 4) for rank in ranks]
-    except TypeError:  # not iterable: a bare number, say
-        raise OutOfRange(f"ranks must be a sequence of ranks, got {ranks!r}") from None
+    ranks = check_each(ranks, lambda rank: check_integer(rank, "rank", 1, 4), "ranks")
     if not ranks:
         raise OutOfRange("ranks must not be empty")
     out = []

@@ -5,7 +5,6 @@ from densecap import random_state
 from densecap.errors import BadDimension, NonUnitary
 from densecap.linalg import (
     ID2,
-    ID4,
     SIGMA_X,
     SIGMA_Z,
     conjugate_local,
@@ -13,6 +12,8 @@ from densecap.linalg import (
     partial_transpose,
     tensor,
 )
+
+ID4 = np.eye(4, dtype=complex)
 
 
 class TestTensor:

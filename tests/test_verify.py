@@ -18,6 +18,7 @@ from densecap import (
     capacity,
     capacity_closed_form,
     check_bounds,
+    conjugate_local,
     er_closed_form,
     er_numeric,
     gdc_ensemble,
@@ -28,11 +29,17 @@ from densecap import (
     pure_schmidt,
     random_state,
     run_campaign,
+    sdc_letters,
     sweep_family,
+    tensor,
     validate_state,
     werner,
 )
 from densecap.cli import main
+from densecap.densecoding import UNIFORM4
+from densecap.states import (
+    binary_entropy, build_family_state, from_pauli, state_from_json_dict, state_to_json_dict,
+)
 from densecap.errors import BadDimension, DensecapError, InvalidState, OutOfRange
 from densecap.separable import ErConfig
 from densecap.verify import (
@@ -272,14 +279,53 @@ BAD_LIBRARY_INPUTS = {
     "check_bounds_text_state": lambda: check_bounds("x"),
     "validate_state_dict": lambda: validate_state({}),
     "partial_transpose_text": lambda: partial_transpose("x"),
+    # bools and text are not numbers, as parameters, amplitudes, priors or matrix entries
+    "werner_closed_form_bool_parameter": lambda: capacity_closed_form("werner", [True]),
+    "pure_schmidt_closed_form_bool_parameter": lambda: capacity_closed_form("pure_schmidt", [True]),
+    "build_family_state_text_parameter": lambda: build_family_state("werner", ["0.75"]),
+    "state_file_text_parameter": lambda: state_from_json_dict(
+        {"family": "werner", "params": ["0.75"]}
+    ),
+    "pure_schmidt_text_amplitudes": lambda: pure_schmidt("0.6", "0.8"),
+    "pure_schmidt_bool_amplitudes": lambda: pure_schmidt(True, False),
+    "bell_diagonal_bool_weights": lambda: bell_diagonal([True, False, False, False]),
+    "bell_diagonal_text_weights": lambda: bell_diagonal(["0.25"] * 4),
+    "validate_state_numeric_strings": lambda: validate_state(W075_TEXT),
+    "validate_state_bool_matrix": lambda: validate_state(KET00_BOOLS),
+    "state_file_numeric_string_matrix": lambda: state_from_json_dict(
+        {"family": "explicit", "matrix": {"re": W075_TEXT, "im": np.zeros((4, 4)).tolist()}}
+    ),
+    "state_to_json_numeric_strings": lambda: state_to_json_dict(W075_TEXT),
+    "state_file_bool_matrix": lambda: state_from_json_dict(
+        {"family": "explicit", "matrix": {"re": KET00_BOOLS, "im": np.zeros((4, 4)).tolist()}}
+    ),
+    "conjugate_local_text_unitary": lambda: conjugate_local(werner(0.7), "x"),
+    "cgdc_encoding_text_unitaries": lambda: CgdcEncoding(("x",) * 4, UNIFORM4),
+    "random_state_matrix_seed": lambda: random_state(np.array([[1, 2]])),
+    # no ensemble, no decomposition, an array for a scalar, a bool and an infinity
+    "holevo_none": lambda: densecap.holevo(None),
+    "from_pauli_none": lambda: from_pauli(None),
+    "binary_entropy_array": lambda: binary_entropy(np.array([0.5, 0.2])),
+    "tensor_bool_and_inf": lambda: tensor(True, np.inf),
+    "tensor_infinite_factor": lambda: tensor(np.eye(2), np.inf),
+    "tensor_overflowing_product": lambda: tensor(1e200, np.full((2, 2), 1e200)),
 }
 COMPLEX_PRIORS = np.array([0.25 + 0.3j, 0.25, 0.25, 0.25])
+W075_TEXT = werner(0.75).real.astype(str).tolist()  # a 4x4 list of numeric strings
+KET00_BOOLS = np.diag([True, False, False, False]).tolist()  # |00><00| in bools
 # the cases that a state or matrix check rejects with its own DensecapError; the rest raise
 # OutOfRange (or its NotNormalized and NotASimplex)
 BAD_LIBRARY_INPUT_ERRORS = {
     "check_bounds_text_state": InvalidState,
     "validate_state_dict": InvalidState,
     "partial_transpose_text": BadDimension,
+    "validate_state_numeric_strings": InvalidState,
+    "validate_state_bool_matrix": InvalidState,
+    "state_file_numeric_string_matrix": InvalidState,
+    "state_file_bool_matrix": InvalidState,
+    "state_to_json_numeric_strings": InvalidState,
+    "conjugate_local_text_unitary": BadDimension,
+    "cgdc_encoding_text_unitaries": BadDimension,
 }
 
 
@@ -307,6 +353,7 @@ ODD_VALUES = [
     np.triu(np.ones((4, 4))) / 4, W075.astype(np.complex64), np.diag([0.25] * 4).astype(np.float32),
     W075.tolist(), W075.astype(object), np.eye(4, dtype=int), np.array(0.5), np.full(4, 0.25),
     [["x"] * 4] * 4, [[1, 2], [3]], W075[None],
+    1e308, [True] * 4, ["0.25"] * 4, W075.real.astype(str), np.full((2, 2), 1e300 + 1e300j),
 ]
 ODD_ARRAYS = hnp.arrays(
     st.sampled_from([float, complex, int, bool]),
@@ -325,10 +372,72 @@ def test_one_state_callables_answer_or_raise_a_densecap_error(value):
             pass
 
 
+# a valid argument list for each other public callable: the ones that take an ensemble, a
+# decomposition, a scalar or several arguments; the property below puts a value in one argument
+# at a time
+SDC075 = sdc_letters(W075)
+VALID_ARGUMENTS = {
+    "bell": ("phi+",),
+    "bell_diagonal": ([0.7, 0.1, 0.1, 0.1],),
+    "binary_entropy": (0.3,),
+    "capacity": (SDC075,),
+    "capacity_closed_form": ("werner", [0.75]),
+    "CgdcEncoding": ((np.eye(2),) * 4, [0.25] * 4),
+    "cgdc_ensemble": (W075, densecap.optimize_cgdc(W075)["encoding"]),
+    "check_bounds": (W075, "werner", [0.75], FAST_ER),
+    "conjugate_local": (W075, np.eye(2)),
+    "distinguishability": (SDC075,),
+    "ErConfig": (12, 1500, 1e-5),
+    "er_closed_form": ("werner", [0.75]),
+    "er_numeric": (W075, FAST_ER),
+    "from_pauli": (densecap.to_pauli(W075),),
+    "gdc_ensemble": (W075, [0.25] * 4),
+    "holevo": (SDC075,),
+    "lambda_a": (0.4,),
+    "lambda_b": (0.5,),
+    "LetterEnsemble": ([W075] * 4, [0.25] * 4),
+    "partial_trace": (W075, "A"),
+    "partial_transpose": (W075, "B"),
+    "pure_schmidt": (0.8, 0.6),
+    "random_state": (3, 2),
+    "relative_entropy": (W075, W075),
+    "run_campaign": (1, 0, (1,), FAST_ER),
+    "sweep_family": ("werner", 0.0, 1.0, 0.5),
+    "tensor": (np.eye(2), np.eye(2)),
+    "werner": (0.75,),
+}
+# result records, which take what the callables above computed and check nothing
+RECORDS = {"BoundsReport", "ErEstimate", "PauliDecomposition", "SdcAverageCheck", "SeparableAnsatz",
+           "SweepRow"}
+
+
+def test_every_public_name_is_in_an_odd_value_property():
+    assert set(densecap.__all__) == set(ONE_STATE_CALLABLES) | set(VALID_ARGUMENTS) | RECORDS
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=st.one_of(st.floats(), ODD_ARRAYS))
+def test_other_callables_answer_or_raise_a_densecap_error(value):
+    for name, args in VALID_ARGUMENTS.items():
+        for slot in range(len(args)):
+            try:
+                getattr(densecap, name)(*args[:slot], value, *args[slot + 1:])
+            except DensecapError:
+                pass
+
+
 for _value in ODD_VALUES:  # each runs on every callable, before the drawn values
     test_one_state_callables_answer_or_raise_a_densecap_error = example(value=_value)(
         test_one_state_callables_answer_or_raise_a_densecap_error
     )
+    test_other_callables_answer_or_raise_a_densecap_error = example(value=_value)(
+        test_other_callables_answer_or_raise_a_densecap_error
+    )
+
+
+def test_the_valid_arguments_are_valid():
+    for name, args in VALID_ARGUMENTS.items():
+        getattr(densecap, name)(*args)
 
 
 def test_campaign_takes_an_array_of_ranks():
@@ -388,6 +497,13 @@ class TestCli:
         assert doc["mode"] == "gdc"
         assert 0 < doc["capacity_bits"] < 2
 
+    def test_capacity_gdc_reads_its_priors_as_numbers(self, capsys):
+        argv = ["capacity", "--state", "werner:0.75", "--mode", "gdc", "--probs", "0.4,0.2,0.2,0.2"]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["probs"] == [0.4, 0.2, 0.2, 0.2]
+        assert doc["capacity_bits"] == capacity(gdc_ensemble(werner(0.75), [0.4, 0.2, 0.2, 0.2]))
+
     def test_measures(self):
         proc = run_cli("measures", "--state", "werner:0.75")
         assert proc.returncode == 0
@@ -412,8 +528,6 @@ class TestCli:
         assert abs(doc["e_r_closed"] - er_closed_form("pure_schmidt", [0.36])) < 1e-12
 
     def test_verify_explicit_json_file(self, tmp_path):
-        from densecap.states import state_to_json_dict
-
         # lambda_b(0.5) meets C <= 1 + E_R with equality
         for rho in (random_state(seed=123, rank=4), lambda_b(0.5)):
             path = tmp_path / "state.json"
@@ -467,13 +581,14 @@ class TestCli:
                 "pure_schmidt:0.8,0.7",
             )
         ]
-        for probs in ("a,b,c,d", "nan,0,0,1"):
+        for probs in ("a,b,c,d", "nan,0,0,1", ""):
             cases.append(["capacity", "--state", "werner:0.75", "--mode", "gdc", "--probs", probs])
         for mode in ([], ["--mode", "sdc"], ["--mode", "cgdc-opt"]):  # --probs is for gdc only
             cases.append(["capacity", "--state", "werner:0.75", *mode, "--probs", "0.5,0.5,0,0"])
         for extra in (["--rank", "2"], ["--seed", "0"], ["--rank", "2", "--seed", "5"]):
             cases.append(["verify", "--state", "werner:0.75", *extra])  # campaign options
-        for i, text in enumerate(("not json", "[0.75]", '{"family": "explicit", "params": []}')):
+        for i, text in enumerate(("not json", "[0.75]", '{"family": "explicit", "params": []}',
+                                  '{"family": "werner", "params": ["0.75"]}')):
             path = tmp_path / f"state{i}.json"
             path.write_text(text)
             cases.append(["capacity", "--state", str(path)])
