@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entanglement import PPT_TOL
+from .errors import InvalidState
 from .infotheory import LetterEnsemble, _relative_entropies, holevo
 from .linalg import (
-    ID2, PAULI_PRODUCTS, PAULIS, check_unitary, conjugate_local, partial_trace, partial_transpose,
+    ID2, PAULI_PRODUCTS, PAULIS, as_matrix, check_unitary, conjugate_local, partial_trace,
+    partial_transpose,
 )
 from .states import check_each, check_instance, check_simplex, parse_family, validate_state
 
@@ -27,7 +29,7 @@ UNIFORM4 = np.full(4, 0.25)
 
 def gdc_ensemble(w0, probs):
     """The four Pauli-encoded letters of W0 with caller-supplied priors."""
-    w0 = validate_state(w0)
+    w0 = as_matrix(w0, (4,), InvalidState, "state")  # LetterEnsemble validates it as letter 0
     letters = [w0] + [u @ w0 @ u for u in PAULI_PRODUCTS[:3]]  # sigma_m x I is Hermitian
     return LetterEnsemble(letters=letters, probs=probs)
 

@@ -43,10 +43,7 @@ def relative_entropy(sigma, rho):
     rho (eigenvalues below 1e-12).
     """
     sigma = validate_state(sigma, "sigma", sizes=(2, 4))
-    rho = validate_state(rho, "rho", sizes=(2, 4))
-    if sigma.shape != rho.shape:
-        raise InvalidState(f"dimension mismatch {sigma.shape} vs {rho.shape}")
-
+    rho = validate_state(rho, "rho", sizes=sigma.shape[:1])
     return float(_relative_entropies(sigma[None], rho[None])[0, 0])
 
 

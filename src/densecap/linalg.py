@@ -53,10 +53,12 @@ SPIN_FLIP = tensor(SIGMA_Y, SIGMA_Y)
 
 
 def as_matrix(m, sizes, error=BadDimension, name="matrix"):
-    """m as a complex n x n ndarray, n in sizes, if its entries are numbers; else error."""
+    """m as a complex n x n ndarray, n in sizes, if its entries are finite numbers; else error."""
     m = as_numbers(m, error, name).astype(complex, copy=False)
     if m.shape not in [(n, n) for n in sizes]:
         raise error(f"{name}: expected {' or '.join(f'{n}x{n}' for n in sizes)}, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise error(f"{name}: has non-finite entries")
     return m
 
 
@@ -81,7 +83,7 @@ def partial_transpose(m, on="B"):
 def check_unitary(u):
     """u as a complex ndarray if a 2x2 unitary within UNITARY_TOL; else BadDimension or NonUnitary."""
     u = as_matrix(u, (2,))
-    # an entry of modulus above 1, inf or NaN fails before it reaches the product
+    # an entry of modulus above 1 fails before it reaches the product (as_matrix fails inf or NaN)
     if not (np.abs(u).max() <= 1 + UNITARY_TOL and np.abs(u @ u.conj().T - ID2).max() <= UNITARY_TOL):
         raise NonUnitary(f"local operation is not unitary within {UNITARY_TOL:.0e}")
     return u
@@ -93,7 +95,5 @@ def conjugate_local(w, u):
     Returns (U x I) W (U x I)^dag; spectrum and trace are preserved.
     """
     w = as_matrix(w, (4,))
-    if not np.isfinite(w).all():
-        raise OutOfRange("conjugate_local: the operator has non-finite entries")
     big = tensor(check_unitary(u), ID2)
     return big @ w @ big.conj().T

@@ -44,9 +44,8 @@ _MIXER = np.eye(4, dtype=complex) / 4.0
 _STEP_SIZES = 0.5 ** np.arange(LINE_SEARCH_STEPS)
 
 # sigma = I/4 + sum_k x_k P_k / 4 over the 15 Pauli products (block 0), and its partial
-# transpose on B (block 1), where the terms with sigma_y on B change sign
-_GAMMA_SIGNS = np.array([1, 1, 1, 1, -1, 1] + [1, -1, 1] * 3)[:, None, None]
-_BASES = np.stack([PAULI_PRODUCTS, PAULI_PRODUCTS * _GAMMA_SIGNS]) / 4.0
+# transpose on B (block 1)
+_BASES = np.stack([PAULI_PRODUCTS, [partial_transpose(p) for p in PAULI_PRODUCTS]]) / 4.0
 _BASES_FLAT = _BASES.swapaxes(0, 1).reshape(15, 32)  # row k: both blocks' P_k / 4, flattened
 
 _HADAMARD4 = 0.5 * np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])  # H x H, exact in floats

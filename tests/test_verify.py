@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -38,7 +39,8 @@ from densecap import (
 from densecap.cli import main
 from densecap.densecoding import UNIFORM4
 from densecap.states import (
-    binary_entropy, build_family_state, from_pauli, state_from_json_dict, state_to_json_dict,
+    PauliDecomposition, binary_entropy, build_family_state, from_pauli, state_from_json_dict,
+    state_to_json_dict,
 )
 from densecap.errors import BadDimension, DensecapError, InvalidState, OutOfRange
 from densecap.separable import ErConfig
@@ -241,7 +243,8 @@ class TestCampaign:
 
 
 # library inputs that once escaped as a bare ValueError, ZeroDivisionError, TypeError or
-# AttributeError, or were silently taken (a fractional or bool rank, a bool gap_tol)
+# AttributeError, or were silently taken (a fractional or bool rank, a bool gap_tol, a matrix
+# with non-finite entries that came back as NaN)
 BAD_LIBRARY_INPUTS = {
     "partial_trace_unknown_subsystem": lambda: partial_trace(werner(0.5), "C"),
     "partial_transpose_unknown_subsystem": lambda: partial_transpose(werner(0.5), on="C"),
@@ -309,6 +312,12 @@ BAD_LIBRARY_INPUTS = {
     "tensor_bool_and_inf": lambda: tensor(True, np.inf),
     "tensor_infinite_factor": lambda: tensor(np.eye(2), np.inf),
     "tensor_overflowing_product": lambda: tensor(1e200, np.full((2, 2), 1e200)),
+    # non-finite matrix entries, and Pauli coefficients of the wrong shape or not numbers
+    "partial_trace_infinite_entries": lambda: partial_trace(np.diag([math.inf, -math.inf, 1, 1]), "B"),
+    "partial_transpose_nan_entries": lambda: partial_transpose(np.full((4, 4), math.nan)),
+    "from_pauli_short_r": lambda: from_pauli(PauliDecomposition(np.zeros(2), np.zeros(3), np.eye(3))),
+    "from_pauli_text_s": lambda: from_pauli(PauliDecomposition(np.zeros(3), "x", np.eye(3))),
+    "from_pauli_none_t": lambda: from_pauli(PauliDecomposition(np.zeros(3), np.zeros(3), None)),
 }
 COMPLEX_PRIORS = np.array([0.25 + 0.3j, 0.25, 0.25, 0.25])
 W075_TEXT = werner(0.75).real.astype(str).tolist()  # a 4x4 list of numeric strings
@@ -326,6 +335,11 @@ BAD_LIBRARY_INPUT_ERRORS = {
     "state_to_json_numeric_strings": InvalidState,
     "conjugate_local_text_unitary": BadDimension,
     "cgdc_encoding_text_unitaries": BadDimension,
+    "partial_trace_infinite_entries": BadDimension,
+    "partial_transpose_nan_entries": BadDimension,
+    "from_pauli_short_r": InvalidState,
+    "from_pauli_text_s": InvalidState,
+    "from_pauli_none_t": InvalidState,
 }
 
 
@@ -362,14 +376,27 @@ ODD_ARRAYS = hnp.arrays(
 )
 
 
+def holds_nan(result):
+    """True if result, an entry of it, or a value or field it holds is NaN (+inf is an answer)."""
+    if dataclasses.is_dataclass(result):
+        return any(holds_nan(getattr(result, field.name)) for field in dataclasses.fields(result))
+    if isinstance(result, dict):
+        return any(holds_nan(item) for item in result.values())
+    if isinstance(result, (list, tuple)):
+        return any(holds_nan(item) for item in result)
+    array = np.asarray(result)
+    return array.dtype.kind in "fc" and bool(np.isnan(array).any())
+
+
 @settings(max_examples=100, deadline=None)
 @given(value=st.one_of(st.floats(), ODD_ARRAYS))
 def test_one_state_callables_answer_or_raise_a_densecap_error(value):
-    for call in ONE_STATE_CALLABLES.values():
+    for name, call in ONE_STATE_CALLABLES.items():
         try:
-            call(value)
+            result = call(value)
         except DensecapError:
-            pass
+            continue
+        assert not holds_nan(result), name
 
 
 # a valid argument list for each other public callable: the ones that take an ensemble, a
