@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import PPT_TOL
+from .entanglement import is_ppt
 from .errors import InvalidState
 from .infotheory import LetterEnsemble, _relative_entropies, holevo
 from .linalg import (
     ID2, PAULI_PRODUCTS, PAULIS, as_matrix, check_unitary, conjugate_local, partial_trace,
-    partial_transpose,
 )
 from .states import check_each, check_instance, check_simplex, parse_family, validate_state
 
@@ -30,8 +29,12 @@ UNIFORM4 = np.full(4, 0.25)
 def gdc_ensemble(w0, probs):
     """The four Pauli-encoded letters of W0 with caller-supplied priors."""
     w0 = as_matrix(w0, (4,), InvalidState, "state")  # LetterEnsemble validates it as letter 0
-    letters = [w0] + [u @ w0 @ u for u in PAULI_PRODUCTS[:3]]  # sigma_m x I is Hermitian
-    return LetterEnsemble(letters=letters, probs=probs)
+    return LetterEnsemble(letters=_pauli_letters(w0), probs=probs)
+
+
+def _pauli_letters(w0):
+    """The list of W0 and its three (sigma_m x I) conjugates, for a read 4x4 w0."""
+    return [w0] + [u @ w0 @ u for u in PAULI_PRODUCTS[:3]]  # sigma_m x I is Hermitian
 
 
 def sdc_letters(w0):
@@ -80,16 +83,11 @@ def sdc_average_check(w0):
     correlations, leaving a manifestly disentangled product; the PPT flag
     double-checks that on the computed average.
     """
-    return _sdc_average_check(w0, sdc_letters(w0))
-
-
-def _sdc_average_check(w0, ensemble):
-    """sdc_average_check(w0), given w0's SDC ensemble (check_bounds builds it once)."""
-    avg = ensemble.average()
+    w0 = validate_state(w0)
+    avg = np.einsum("i,ijk->jk", UNIFORM4, _pauli_letters(w0))  # as LetterEnsemble.average sums
     target = np.kron(ID2 / 2, partial_trace(w0, over="A"))
     err = float(np.abs(avg - target).max())
-    ppt = bool(np.linalg.eigvalsh(partial_transpose(avg)).min() >= -PPT_TOL)
-    return SdcAverageCheck(average=avg, product_form_error=err, ppt=ppt)
+    return SdcAverageCheck(average=avg, product_form_error=err, ppt=is_ppt(avg))
 
 
 def capacity_closed_form(family, params):

@@ -375,7 +375,10 @@ def state_from_json_dict(doc):
         try:
             mat = doc["matrix"]
             re, im = (as_numbers(mat[k], InvalidState, f"matrix.{k}", "iuf") for k in ("re", "im"))
-            rho = re + 1j * im
+            if re.shape != im.shape:  # the assignment below would broadcast im
+                raise ValueError(f"matrix.re has shape {re.shape}, matrix.im {im.shape}")
+            rho = re.astype(complex)
+            rho.imag = im  # no complex multiply, so an infinite im reaches as_matrix's check
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidState(
                 f"explicit state needs numeric matrix.re and matrix.im ({type(exc).__name__}: {exc})"

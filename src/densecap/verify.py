@@ -19,9 +19,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .densecoding import (
-    _sdc_average_check, capacity, distinguishability, sdc_average_check, sdc_letters,
-)
+from .densecoding import capacity, distinguishability, sdc_average_check, sdc_letters
 from .entanglement import entanglement_of_formation, entropy_of_entanglement, hashing_distillable
 from .errors import NotPure, OutOfRange
 from .separable import ErConfig, er_numeric
@@ -144,7 +142,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
             "numeric E_R is an upper bound on true E_R; flag is a sufficient check"
         )
 
-    average = _sdc_average_check(w0, ensemble)
+    average = sdc_average_check(w0)
     flags = {
         "lower_bound_ok": bool(e_r_upper <= c_sdc + tols["closed_form"]),
         "ef_upper_ok": bool(c_sdc <= 1.0 + e_f + tols["closed_form"]),

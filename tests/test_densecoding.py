@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_unitary
 from densecap import (
     CgdcEncoding,
+    LetterEnsemble,
     bell,
     bell_diagonal,
     capacity,
@@ -26,6 +28,7 @@ from densecap import (
     relative_entropy,
     sdc_average_check,
     sdc_letters,
+    validate_state,
     werner,
 )
 from densecap.errors import NonUnitary, NotASimplex, OutOfRange
@@ -176,6 +179,24 @@ class TestSdcAverage:
         w0 = random_state(seed=36, rank=4)
         target = tensor(ID2 / 2, partial_trace(w0, "A"))
         np.testing.assert_allclose(sdc_average_check(w0).average, target, atol=1e-13)
+
+    def test_validates_at_most_twice_and_builds_no_ensemble(self, monkeypatch):
+        # W0 once at the boundary and the average once in is_ppt; the Pauli letters are valid
+        # by construction, so no LetterEnsemble re-validates them
+        calls, validate, post_init = [], validate_state, LetterEnsemble.__post_init__
+
+        def counted(*args, **kwargs):
+            calls.append("validate_state")
+            return validate(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("densecap.") and hasattr(module, "validate_state"):
+                monkeypatch.setattr(module, "validate_state", counted)
+        monkeypatch.setattr(
+            LetterEnsemble, "__post_init__", lambda self: calls.append("ensemble") or post_init(self)
+        )
+        assert sdc_average_check(werner(0.75)).ppt
+        assert "ensemble" not in calls and len(calls) <= 2, calls
 
 
 class TestClosedForms:

@@ -10,6 +10,7 @@ from conftest import draw_family_params, random_unitary
 from densecap import (
     bell,
     bell_diagonal,
+    binary_entropy,
     entropy_of_entanglement,
     er_closed_form,
     er_numeric,
@@ -425,6 +426,28 @@ class TestErNumericProperties:
         estimate = er_numeric(w_state, ErConfig(max_iter=max_iter, gap_tol=gap_tol))
         assert 0.0 <= estimate.lower <= estimate.value + 1e-12, estimate
         assert estimate.converged == (estimate.gap <= gap_tol), estimate
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["dirichlet", "werner_like", "rank2"]))
+    def test_interval_holds_the_bell_diagonal_oracle_in_a_local_frame(self, seed, p, kind):
+        # maximally mixed marginals: E_R = 1 - h(p_max) when p_max > 1/2, else 0 (Vedral &
+        # Plenio 1998), in every local frame U_A x U_B
+        rng = np.random.default_rng(seed)
+        weights = {
+            "dirichlet": rng.dirichlet(np.ones(4)),
+            "werner_like": np.array([p] + [(1.0 - p) / 3.0] * 3),
+            "rank2": np.array([p, 1.0 - p, 0.0, 0.0]),
+        }[kind]
+        weights = rng.permutation(weights)
+        frame = np.kron(random_unitary(rng), random_unitary(rng))
+        w_state = frame @ bell_diagonal(weights) @ frame.conj().T
+        p_max = weights.max()
+        oracle = 1.0 - binary_entropy(p_max) if p_max > 0.5 else 0.0
+        for config in (ErConfig(), E2E1):
+            estimate = er_numeric(w_state, config)
+            assert estimate.lower - 1e-12 <= oracle <= estimate.value + 1e-12, (weights, estimate)
+            assert estimate.converged == (estimate.gap <= config.gap_tol), estimate
 
 
 def grid_gap(w_state, estimate, points=100_000):

@@ -45,6 +45,7 @@ from densecap.states import (
 from densecap.errors import BadDimension, DensecapError, InvalidState, OutOfRange
 from densecap.separable import ErConfig
 from densecap.verify import (
+    LEMMA_TOL,
     campaign_states,
     default_tolerances,
     format_sweep_csv,
@@ -318,6 +319,17 @@ BAD_LIBRARY_INPUTS = {
     "from_pauli_short_r": lambda: from_pauli(PauliDecomposition(np.zeros(2), np.zeros(3), np.eye(3))),
     "from_pauli_text_s": lambda: from_pauli(PauliDecomposition(np.zeros(3), "x", np.eye(3))),
     "from_pauli_none_t": lambda: from_pauli(PauliDecomposition(np.zeros(3), np.zeros(3), None)),
+    # an infinite imaginary part, which a complex multiply would turn into NaN with a warning,
+    # and an imaginary part or a real part of another shape, which would broadcast
+    "state_file_infinite_im": lambda: state_from_json_dict(
+        {"family": "explicit", "matrix": {"re": np.eye(4).tolist(), "im": [[math.inf] * 4] * 4}}
+    ),
+    "state_file_row_im": lambda: state_from_json_dict(
+        {"family": "explicit", "matrix": {"re": (np.eye(4) / 4).tolist(), "im": [0.0] * 4}}
+    ),
+    "state_file_row_re": lambda: state_from_json_dict(
+        {"family": "explicit", "matrix": {"re": [0.25] * 4, "im": [[0.0] * 4] * 4}}
+    ),
 }
 COMPLEX_PRIORS = np.array([0.25 + 0.3j, 0.25, 0.25, 0.25])
 W075_TEXT = werner(0.75).real.astype(str).tolist()  # a 4x4 list of numeric strings
@@ -340,6 +352,9 @@ BAD_LIBRARY_INPUT_ERRORS = {
     "from_pauli_short_r": InvalidState,
     "from_pauli_text_s": InvalidState,
     "from_pauli_none_t": InvalidState,
+    "state_file_infinite_im": InvalidState,
+    "state_file_row_im": InvalidState,
+    "state_file_row_re": InvalidState,
 }
 
 
@@ -496,6 +511,32 @@ def test_check_bounds_builds_the_sdc_letters_once(monkeypatch):
     monkeypatch.setattr(dc, "sdc_letters", counted)
     check_bounds(werner(0.75), family="werner", params=[0.75])
     assert len(calls) == 1
+
+
+def test_lemma_flag_reads_the_one_sdc_average_check(monkeypatch):
+    import densecap.verify as ver
+
+    e2e1 = ErConfig(starts=4, max_iter=600, gap_tol=1e-4)
+    returned, failing = [], False
+
+    def recorded(w0):
+        check = densecap.sdc_average_check(w0)
+        returned.append(check)
+        return dataclasses.replace(check, ppt=False) if failing else check
+
+    monkeypatch.setattr(ver, "sdc_average_check", recorded)
+    for w0, _ in campaign_states(4, 2024):
+        failing = False
+        report = check_bounds(w0, er_config=e2e1)
+        (check,) = returned
+        fresh = densecap.sdc_average_check(w0)
+        assert (check.product_form_error, check.ppt) == (fresh.product_form_error, fresh.ppt)
+        assert report.flags["lemma_ok"] == (check.product_form_error < LEMMA_TOL and check.ppt)
+        assert report.flags["lemma_ok"]
+        returned.clear()
+        failing = True  # the same state, with a check whose average is not PPT
+        assert not check_bounds(w0, er_config=e2e1).flags["lemma_ok"]
+        returned.clear()
 
 
 def test_sweep_rejects_an_infinite_step(tmp_path):
