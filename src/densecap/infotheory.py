@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import InvalidState
 from .linalg import as_numbers
-from .states import check_instance, check_simplex, validate_state
+from .states import check_instance, check_simplex, validate_state, validate_states
 
 SUPPORT_KERNEL_TOL = 1e-12   # eigenvalues of rho below this define its kernel
 SUPPORT_WEIGHT_TOL = 1e-10   # sigma weight inside the kernel above this -> +inf
@@ -72,10 +72,8 @@ class LetterEnsemble:
     def __post_init__(self):
         # as_numbers fails a ragged list, such as a mix of qubit and two-qubit states
         letters = np.array(as_numbers(self.letters, InvalidState, "letters"), dtype=complex, ndmin=1)
-        for i, w in enumerate(letters):
-            validate_state(w, f"letter {i}", (2, 4))
+        object.__setattr__(self, "letters", validate_states(letters, lambda i: f"letter {i}", (2, 4)))
         object.__setattr__(self, "probs", check_simplex(self.probs, n=len(letters)))
-        object.__setattr__(self, "letters", letters)
 
     def average(self):
         """The mixture sum_i p_i W_i sent over the channel."""

@@ -31,7 +31,8 @@ REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
 PPT_EXIT_TOL = 1e-9      # PPT states whose exact decomposition scores below this exit at once
 SCHMIDT_ROUNDOFF = 1e-13  # roundoff margin of the pure-state exit's lower bound (see er_numeric)
-DUAL_STEPS = 48          # doubling and bisection steps for the dual multiplier s (see _certify)
+DUAL_STEPS = 48          # most probes of the dual multiplier s (see _dual_floor)
+DUAL_KINK = 1e-8         # lambda_min's gap below which it is a kink, per unit of the matrices' entries
 DUAL_ROUNDOFF = 1e-13    # roundoff margin of the dual bound, per unit of the matrices' entries
 BARRIER_START = 1.0      # weight t of the objective against the barrier at the first centering
 BARRIER_GROWTH = 30.0    # factor on t after each centering
@@ -183,12 +184,25 @@ def _ln_divided(x, y):
     return np.where(y > x, np.log1p((y - x) / x) / np.where(y > x, y - x, 1.0), 1.0 / x)
 
 
-# sorted index triple lo <= mid <= hi of each (i, k, j): the sorted values on an ascending ev
+# on an ascending ev, the sorted index pair of each (i, j) and triple lo <= mid <= hi of each (i, k, j)
+_PAIRS = np.sort(np.stack(np.meshgrid(*[np.arange(4)] * 2, indexing="ij")), axis=0)
 _LO, _MID, _HI = np.sort(np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij")), axis=0)
 
 
+def _log_kernels(ev):
+    """The first and second divided differences K[i, j] = ln[ev_i, ev_j] and F[i, k, j] =
+    ln[ev_i, ev_k, ev_j] of an ascending ev, in one pass: F is (ln[a, b] - ln[b, c]) / (a - c) on
+    each sorted triple a <= b <= c, or -1/(2 m^2) at its mean m when c - a is below 1e-5 c."""
+    kernel = _ln_divided(*ev[_PAIRS])
+    a, b, c = ev[_LO], ev[_MID], ev[_HI]
+    near = c - a <= 1e-5 * c
+    spread = np.where(near, -1.0, a - c)
+    return kernel, np.where(near, -4.5 / (a + b + c) ** 2,
+                            (kernel[_LO, _MID] - kernel[_MID, _HI]) / spread)
+
+
 class _Objective:
-    """S(W || rho) in bits as a function of rho.
+    """S(W || rho) in bits as a function of rho, with W's spectrum.
 
     rho is regularized by mixing in REG_EPS * I/4 before logs are taken, which keeps the
     objective finite on rank-deficient mixtures while staying inside the separable set.  The
@@ -196,56 +210,18 @@ class _Objective:
     """
 
     def __init__(self, w):
-        self.w = w
-        self.const = -entropy_of_eigenvalues(np.linalg.eigvalsh(w))  # Tr W log2 W
+        self.w, self.spectrum = w, np.linalg.eigvalsh(w)
+        self.const = -entropy_of_eigenvalues(self.spectrum)  # Tr W log2 W
 
-    @staticmethod
-    def _regularized(mu):
-        return np.clip((mu + 0.25 * REG_EPS) / (1.0 + REG_EPS), 1e-300, None)
-
-    def value(self, rho, eigen=None):
-        """f at rho; eigen = (mu, u), the eigh of rho, is used when given."""
-        mu, u = np.linalg.eigh(rho) if eigen is None else eigen
-        weights = np.clip((u.conj() * (self.w @ u)).sum(axis=0).real, 0.0, None)
-        return self.const - float(weights @ np.log2(self._regularized(mu)))
-
-    @staticmethod
-    def _log_kernel(ev):
-        """First divided differences K[i, j] = ln[ev_i, ev_j]."""
-        lo, hi = np.minimum(ev[:, None], ev[None, :]), np.maximum(ev[:, None], ev[None, :])
-        return _ln_divided(lo, hi)
-
-    @staticmethod
-    def _log_kernel2(ev, kernel):
-        """Second divided differences F[i, k, j] = ln[ev_i, ev_k, ev_j] of an ascending ev,
-        from its first ones kernel = _log_kernel(ev).
-
-        (ln[a, b] - ln[b, c]) / (a - c) on each sorted triple a <= b <= c, or
-        -1/(2 m^2) at its mean m when the spread c - a is below 1e-5 c.
-        """
-        a, b, c = ev[_LO], ev[_MID], ev[_HI]
-        near = c - a <= 1e-5 * c
-        spread = np.where(near, -1.0, a - c)
-        return np.where(near, -4.5 / (a + b + c) ** 2,
-                        (kernel[_LO, _MID] - kernel[_MID, _HI]) / spread)
-
-    def _newton_data(self, mu, u, d):
-        """Gradient and Hessian of f(x) = S(W || rho) in the coordinates rho = I/4 +
-        sum_k x_k P_k / 4, at the rho with eigendecomposition (mu, u), and d = D_k.
-
-        With D_k = U^dagger P_k U / 4 in the eigenbasis U of rho and wt = U^dagger W U:
-        g_k = -Tr[D_k (K o wt)] / ln 2 with K the first divided differences of ln, and
-        H_jk = -(2 / ln 2) Re sum_iml wt_li F_iml (D_j)_im (D_k)_ml with F the second ones.
-        """
-        ev = self._regularized(mu)
+    def at(self, mu, u):
+        """(ev, wt, f) at the rho with eigendecomposition (mu, u): the regularized spectrum ev,
+        wt = U^dagger W U and f, which reads wt's diagonal."""
+        ev = np.clip((mu + 0.25 * REG_EPS) / (1.0 + REG_EPS), 1e-300, None)
         wt = u.conj().T @ self.w @ u
-        kernel = self._log_kernel(ev)
-        flat = d.reshape(15, 16)
-        grad = -(flat @ (kernel * wt).T.reshape(16)).real / LN2
-        # x[m, j, l] = sum_i (D_j)_im F_iml wt_li, one product per m
-        x = d.transpose(2, 0, 1) @ (self._log_kernel2(ev, kernel) * wt.T[:, None, :]).swapaxes(0, 1)
-        hess = -(2.0 / LN2) * (x.swapaxes(0, 1).reshape(15, 16) @ flat.T).real
-        return grad, (hess + hess.T) / 2.0
+        return ev, wt, self.const - float(np.clip(wt.diagonal().real, 0.0, None) @ np.log2(ev))
+
+    def value(self, rho):
+        return self.at(*np.linalg.eigh(rho))[2]
 
 
 # ---------------------------------------------------------------------------
@@ -311,31 +287,39 @@ def _sigmas(x):
 
 class _Point:
     """A barrier point from one stacked eigh (mu, u) of [sigma, sigma^Gamma]: the objective f
-    (inf unless both spectra exceed EIGEN_KEEP_TOL) and logdet = ln det sigma + ln det sigma^Gamma.
-    differentiate adds grad and hess as [objective, barrier -logdet], for newton to weigh by t,
-    and diag[g, k, a] = (D_gk)_aa / mu_ga, from which step_sizes rules out trials."""
+    (inf unless both spectra exceed EIGEN_KEEP_TOL) with sigma's regularized spectrum ev and
+    wt = U^dagger W U, and logdet = ln det sigma + ln det sigma^Gamma.  differentiate adds grad
+    and hess as (objective, barrier -logdet) parts, for newton to weigh by t, and
+    diag[g, k, a] = (D_gk)_aa / mu_ga, from which step_sizes rules out trials."""
 
     def __init__(self, x, objective):
         self.x, sigmas, self.f, self.logdet = x, _sigmas(x), math.inf, 0.0
         if np.isfinite(sigmas).all():
             self.mu, self.u = np.linalg.eigh(sigmas)
             if self.mu.min() > EIGEN_KEEP_TOL:
-                self.f = objective.value(sigmas[0], (self.mu[0], self.u[0]))
+                self.ev, self.wt, self.f = objective.at(self.mu[0], self.u[0])
                 self.logdet = float(np.log(self.mu).sum())
 
-    def differentiate(self, objective):
+    def differentiate(self):
         """Fill in grad and hess and return the point.  With D_gk = U_g^dagger B_gk U_g in the
-        eigenbasis U_g of block g (B_gk = _BASES[g, k]), the log-dets have gradient
+        eigenbasis U_g of block g (B_gk = _BASES[g, k]) and K, F the first and second divided
+        differences of ln at ev, f has gradient g_k = -Tr[D_0k (K o wt)] / ln 2 and Hessian
+        H_jk = -(2 / ln 2) Re sum_iml wt_li F_iml (D_0j)_im (D_0k)_ml; the log-dets have gradient
         -sum_ga (D_gk)_aa / mu_ga and Hessian sum_gab (D_gj)_ab (D_gk)_ba / (mu_ga mu_gb)."""
-        mu, u = self.mu, self.u
+        mu, u, wt = self.mu, self.u, self.wt
         # D_g = U_g^dagger B_g U_g as one product: (U^dagger B U)_ab = sum_ij B_ij conj(U_ia) U_jb
         kron = (u.conj()[:, :, None, :, None] * u[:, None, :, None, :]).reshape(2, 16, 16)
-        d = (_BASES.reshape(2, 15, 16) @ kron).reshape(2, 15, 4, 4)
-        grad, hess = objective._newton_data(mu[0], u[0], d[0])
-        scaled = (d / np.sqrt(mu[:, None, :, None] * mu[:, None, None, :])).reshape(2, 15, 16)
-        self.diag = np.diagonal(d, axis1=2, axis2=3).real / mu[:, None]
-        self.grad = np.stack([grad, -self.diag.sum(axis=(0, 2))])
-        self.hess = np.stack([hess, (scaled @ scaled.conj().swapaxes(1, 2)).real.sum(axis=0)])
+        d = _BASES.reshape(2, 15, 16) @ kron  # row k of block g: D_gk, flattened
+        self.diag = d[:, :, ::5].real / mu[:, None]
+        kernel, kernel2 = _log_kernels(self.ev)
+        # x[m, j, l] = sum_i (D_0j)_im F_iml wt_li, one product per m
+        x = d[0].reshape(15, 4, 4).transpose(2, 0, 1) @ (kernel2 * wt.T[:, None, :]).swapaxes(0, 1)
+        hess = -(2.0 / LN2) * (x.swapaxes(0, 1).reshape(15, 16) @ d[0].T).real
+        # row k: both blocks' D_gk / sqrt(mu_ga mu_gb), so one product sums over (g, a, b)
+        scaled = (d / np.sqrt(mu[:, :, None] * mu[:, None, :]).reshape(2, 1, 16)).swapaxes(0, 1)
+        scaled = scaled.reshape(15, 32)
+        self.grad = (-(d[0] @ (kernel * wt).T.reshape(16)).real / LN2, -self.diag.sum(axis=(0, 2)))
+        self.hess = ((hess + hess.T) / 2.0, (scaled @ scaled.conj().T).real)
         return self
 
     def newton(self, t):
@@ -350,9 +334,52 @@ class _Point:
 
     def step_sizes(self, step):
         """The line search's sizes 1, 1/2, ... less those at which a diagonal entry of the trial
-        in this point's eigenbases, mu_ga (1 + size (diag @ step)_ga), is negative: not PPT."""
-        leaves = (_STEP_SIZES[:, None, None] * (step @ self.diag) < -1.0).any(axis=(1, 2))
-        return _STEP_SIZES[~leaves]
+        in this point's eigenbases, mu_ga (1 + size (diag @ step)_ga), is negative: not PPT.
+        size (diag @ step)_ga < -1 holds for some entry exactly when it holds for the least."""
+        least = (step @ self.diag).min()
+        return _STEP_SIZES[_STEP_SIZES * least >= -1.0] if least < -1.0 else _STEP_SIZES
+
+
+def _dual_floor(grad, dual):
+    """max over s >= 0 of the concave lambda_min(grad - s dual), from below: the best probe's value
+    less the roundoff margin (DUAL_ROUNDOFF, per unit of the matrices' entries).  From s = 1, each
+    probe's eigh gives the slope -<v_0|Z|v_0> and curvature 2 sum_{a>0} |<v_a|Z|v_0>|^2 /
+    (lambda_0 - lambda_a) of a Newton step, doubled while the bracket of the maximum is open above.
+    A step that leaves the bracket, or one from a kink (lambda_0 near-degenerate), gives way to the
+    meeting point of the tangents at the bracket's ends, or to doubling.  By concavity that point
+    caps lambda_min, so the search stops once it is within the margin of the best value."""
+    norms = float(np.abs(grad).sum()), float(np.abs(dual).sum())
+    lo, hi, low, high = 0.0, math.inf, None, None  # the bracket and its ends' tangents (b, g): b + g s
+    floor, best, s = -math.inf, 0.0, 1.0
+    for _ in range(DUAL_STEPS):
+        ev, vec = np.linalg.eigh(grad - s * dual)
+        z = vec.conj().T @ dual @ vec[:, 0]  # <v_a|Z|v_0>
+        value, slope = float(ev[0]), -float(z[0].real)
+        if value > floor:
+            floor, best = value, s
+        if slope > 0.0:
+            lo, low = s, (value - slope * s, slope)
+        else:
+            hi, high = s, (value - slope * s, slope)
+        if high is None:
+            meet = cap = math.inf
+        else:  # s = 0 while the bracket reaches it, where high's tangent is largest
+            meet = 0.0 if low is None else (high[0] - low[0]) / (low[1] - high[1])
+            cap = high[0] + high[1] * meet
+        margin = DUAL_ROUNDOFF * (norms[0] + best * norms[1])
+        if cap - floor <= margin:
+            break
+        target = math.nan
+        if ev[1] - ev[0] > DUAL_KINK * (norms[0] + s * norms[1]):
+            curvature = 2.0 * float((np.abs(z[1:]) ** 2 / (ev[0] - ev[1:])).sum())
+            target = s - (1.0 if high else 2.0) * slope / curvature if curvature < 0.0 else math.nan
+        if lo < target < hi:
+            s = target
+        elif high is None:
+            s = 2.0 * s
+        else:
+            s = meet if lo <= meet < hi else 0.5 * (lo + hi)
+    return floor - margin
 
 
 def _certify(point, t, config, iterations):
@@ -362,34 +389,15 @@ def _certify(point, t, config, iterations):
     matrix less a multiple of I (which would shift Tr[G sigma] = g.x / (1 + REG_EPS) and
     lambda_min(G - s Z) alike).  The dual Z = Gamma[(sigma^Gamma)^-1] / t has Tr[Z tau] >= 0
     on separable tau, so convexity gives S(W || tau) >= f(tau) - log2(1 + REG_EPS) >= value -
-    Tr[G sigma] + lambda_min(G - s Z) - log2(1 + REG_EPS) for each s >= 0.  The concave
-    lambda_min(G - s Z) is bracketed by doubling s from 1, then bisected on its slope -<v|Z|v>.
-    The eigenvector v at the last rising s_lo caps it by lambda(s_lo) - <v|Z|v> (s - s_lo), so
-    the search stops once that cap at the bracket's top is within the roundoff margin
-    (DUAL_ROUNDOFF, per unit of the matrices' entries) of the best floor.
+    Tr[G sigma] + lambda_min(G - s Z) - log2(1 + REG_EPS) for each s >= 0 (see _dual_floor).
     """
     argmin = product_decomposition(_sigmas(point.x)[0])
     grad = np.tensordot(point.grad[0], PAULI_PRODUCTS, 1) / (1.0 + REG_EPS)
     # inverted through its eigenbasis: an LU inverse of the near-singular sigma^Gamma loses the
     # dual's weak directions (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7, not 4e-10 to 5e-8)
     dual = partial_transpose((point.u[1] / point.mu[1]) @ point.u[1].conj().T) / t
-    norms = float(np.abs(grad).sum()), float(np.abs(dual).sum())
-    lo, hi, floor, s, best, rise = 0.0, math.inf, -math.inf, 1.0, 1.0, None
-    for _ in range(DUAL_STEPS):
-        ev, vec = np.linalg.eigh(grad - s * dual)
-        slope = -float((vec[:, 0].conj() @ dual @ vec[:, 0]).real)
-        if ev[0] > floor:
-            floor, best = float(ev[0]), s
-        if slope > 0.0:  # lambda_min still rises with s
-            lo, rise = s, (float(ev[0]), slope)
-        else:
-            hi = s
-        margin = DUAL_ROUNDOFF * (norms[0] + best * norms[1])
-        if rise is not None and rise[0] + rise[1] * (hi - lo) - floor <= margin:
-            break
-        s = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
-    lower = (point.f - float(point.grad[0] @ point.x) / (1.0 + REG_EPS) + floor
-             - math.log2(1.0 + REG_EPS) - margin)
+    lower = (point.f - float(point.grad[0] @ point.x) / (1.0 + REG_EPS) + _dual_floor(grad, dual)
+             - math.log2(1.0 + REG_EPS))
     return _estimate(point.f, lower, argmin, iterations, config)
 
 
@@ -417,7 +425,7 @@ def er_numeric(w, config=None):
         estimate = _estimate(objective.value(argmin.state()), 0.0, argmin, 0, config)
         if estimate.value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
             return estimate
-    elif config.max_iter > 0 and np.linalg.eigvalsh(w)[-2] <= EIGEN_KEEP_TOL:
+    elif config.max_iter > 0 and objective.spectrum[-2] <= EIGEN_KEEP_TOL:
         # the hashing yield bounds E_R from below and equals it on pure states, so the gap is
         # roundoff, which no barrier solve could narrow: the exit stands whatever gap_tol is
         argmin = _schmidt_mixture(w)
@@ -425,7 +433,7 @@ def er_numeric(w, config=None):
         return _estimate(objective.value(argmin.state()), lower, argmin, 1, config)
 
     iterations, t = 0, BARRIER_START
-    point = _Point(np.zeros(15), objective).differentiate(objective)  # I/4
+    point = _Point(np.zeros(15), objective).differentiate()  # I/4
     while iterations < config.max_iter:
         value, step, decrement = point.newton(t)
         # the certificate runs from the first t whose bound BARRIER_NU / t is within gap_tol, and
@@ -443,7 +451,7 @@ def er_numeric(w, config=None):
         for size in point.step_sizes(step):
             trial = _Point(point.x + size * step, objective)
             if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
-                point = trial.differentiate(objective)
+                point = trial.differentiate()
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma
             break

@@ -42,17 +42,35 @@ def projector(vec):
 def validate_state(rho, name="state", sizes=(4,)):
     """Check the density-matrix invariants of an n x n matrix, n in sizes (a two-qubit state
     unless told otherwise), returning rho as complex ndarray."""
-    rho = as_matrix(rho, sizes, InvalidState, name)
+    rho = as_numbers(rho, InvalidState, name).astype(complex, copy=False)
+    return validate_states(rho[None], lambda i: name, sizes)[0]
+
+
+def validate_states(stack, label, sizes=(4,)):
+    """validate_state's rule on each matrix of a complex (k, ...) stack, with one eigvalsh; the
+    first that fails is named label(i) in the error.  Returns the stack."""
+    if stack.shape[1:] not in [(n, n) for n in sizes]:
+        if not len(stack):
+            return stack
+        as_matrix(stack[0], sizes, InvalidState, label(0))  # raises its shape error
     with np.errstate(over="ignore", invalid="ignore"):  # a huge entry fails a test below
-        herm_err = np.abs(rho - rho.conj().T).max()
-        trace = rho.trace()
-    if herm_err > STATE_HERM_TOL:
-        raise InvalidState(f"{name}: not Hermitian within {STATE_HERM_TOL:.0e}")
-    if abs(trace.real - 1.0) > STATE_TRACE_TOL or abs(trace.imag) > STATE_TRACE_TOL:
-        raise InvalidState(f"{name}: trace {trace:.6g} != 1")
-    if np.linalg.eigvalsh(rho).min() < -STATE_PSD_TOL:
-        raise InvalidState(f"{name}: negative eigenvalue beyond {STATE_PSD_TOL:.0e}")
-    return rho
+        herm_errs = np.abs(stack - stack.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        traces = stack.trace(axis1=1, axis2=2)
+    # a non-finite entry makes its matrix's residual NaN or inf, so it fails here too
+    fails = [not herm <= STATE_HERM_TOL or abs(tr.real - 1.0) > STATE_TRACE_TOL or
+             abs(tr.imag) > STATE_TRACE_TOL for herm, tr in zip(herm_errs.tolist(), traces.tolist())]
+    first = fails.index(True) if True in fails else len(fails)
+    # the PSD test runs on the matrices before the first failure, which passed the tests above
+    negative = (np.linalg.eigvalsh(stack[:first]).min(axis=-1) < -STATE_PSD_TOL).tolist()
+    if True in negative:
+        i = negative.index(True)
+        raise InvalidState(f"{label(i)}: negative eigenvalue beyond {STATE_PSD_TOL:.0e}")
+    if first < len(fails):
+        as_matrix(stack[first], sizes, InvalidState, label(first))  # raises if it is not finite
+        if herm_errs[first] > STATE_HERM_TOL:
+            raise InvalidState(f"{label(first)}: not Hermitian within {STATE_HERM_TOL:.0e}")
+        raise InvalidState(f"{label(first)}: trace {traces[first]:.6g} != 1")
+    return stack
 
 
 def xlog2x(x):

@@ -18,6 +18,7 @@ from densecap import (
 )
 from densecap.errors import InvalidState, NotASimplex
 from densecap.infotheory import entropy_of_eigenvalues
+from densecap.states import validate_state
 
 
 def scalar_entropy(values):
@@ -229,3 +230,47 @@ class TestHolevo:
             LetterEnsemble(letters=[rho, rho], probs=[float("nan"), 1.0])
         with pytest.raises(NotASimplex):
             LetterEnsemble((), [])
+
+
+
+def bad_letters():
+    """Letter lists with one or two bad letters, each with the start of the error it must raise."""
+    good, qubit = random_state(seed=13, rank=4), np.eye(2, dtype=complex) / 2
+    not_psd, not_hermitian = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex), good.copy()
+    not_hermitian[0, 1] += 1e-6
+    not_finite = good.copy()
+    not_finite[1, 2] = np.nan
+    return {
+        "letter 2 not PSD": ([good, good, not_psd, good], "letter 2: negative eigenvalue"),
+        "letter 1 not Hermitian": ([good, not_hermitian, good, good], "letter 1: not Hermitian"),
+        "letter 0 not PSD, 1 not Hermitian": ([not_psd, not_hermitian], "letter 0: negative"),
+        "letter 1 not Hermitian, 2 not PSD": ([good, not_hermitian, not_psd], "letter 1: not Herm"),
+        "letter 1 of trace 1.1": ([good, 1.1 * good], "letter 1: trace 1.1+0j != 1"),
+        "letter 1 not finite, 2 not PSD": ([good, not_finite, not_psd], "letter 1: has non-finite"),
+        "qubit letter 2 not PSD": ([qubit, qubit, np.diag([1.5, -0.5])], "letter 2: negative"),
+        "a 3x3 letter": ([np.eye(3) / 3], "letter 0: expected 2x2 or 4x4, got shape (3, 3)"),
+    }
+
+
+class TestLetterCheck:
+    @pytest.mark.parametrize("case", sorted(bad_letters()))
+    def test_names_the_first_bad_letter_as_the_per_letter_loop(self, case):
+        # the reference: validate_state on each letter in turn, the first failure raised
+        letters, start = bad_letters()[case]
+        with pytest.raises(InvalidState) as want:
+            for i, w in enumerate(letters):
+                validate_state(w, f"letter {i}", (2, 4))
+        with pytest.raises(InvalidState) as got:
+            LetterEnsemble(letters, np.ones(len(letters)) / len(letters))
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+        assert str(got.value).startswith(start)
+
+    def test_mixed_qubit_and_two_qubit_letters(self):
+        with pytest.raises(InvalidState, match="^letters: not an array of numbers"):
+            LetterEnsemble([random_state(seed=14, rank=4), np.eye(2) / 2], [0.5, 0.5])
+
+    def test_one_eigvalsh_per_ensemble(self, monkeypatch):
+        calls, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        LetterEnsemble([random_state(seed=(15, i), rank=4) for i in range(4)], [0.25] * 4)
+        assert len(calls) == 1

@@ -27,10 +27,13 @@ from densecap.errors import OutOfRange
 from densecap.linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
     _STEP_SIZES,
+    DUAL_ROUNDOFF,
+    DUAL_STEPS,
     REG_EPS,
     ErConfig,
     SeparableAnsatz,
     _Objective,
+    _dual_floor,
     _Point,
     _sigmas,
     product_decomposition,
@@ -288,7 +291,7 @@ def near_boundary_point(rng, floor=1e-8):
 def objective_data(objective):
     """f, its Pauli gradient and its Hessian at y, read from the point record."""
     def fun(y):
-        point = _Point(y, objective).differentiate(objective)
+        point = _Point(y, objective).differentiate()
         return point.f, point.grad[0], point.hess[0]
     return fun
 
@@ -297,7 +300,7 @@ def barrier_data(objective, t):
     """t f - ln det sigma - ln det sigma^Gamma with its Pauli gradient and Hessian at y,
     recombined from the point record's two parts as a growth of t recombines them."""
     def fun(y):
-        point = _Point(y, objective).differentiate(objective)
+        point = _Point(y, objective).differentiate()
         return (t * point.f - point.logdet, t * point.grad[0] + point.grad[1],
                 t * point.hess[0] + point.hess[1])
     return fun
@@ -374,15 +377,17 @@ class TestLogKernel2:
                           min_size=3, max_size=3))
     def test_index_tables_match_the_value_sort(self, start, steps):
         # ascending, as eigh returns it: exact ties, near-ties (spread below 1e-5 of the
-        # largest, the mean-value branch), and a zero start clipped to 1e-300 as in _regularized
+        # largest, the mean-value branch), and a zero start clipped to 1e-300 as in _Objective.at
         ev = [start]
         for kind, u in steps:
             ev.append(ev[-1] + {"tie": 0.0, "near": 1e-7 * u * ev[-1], "far": 0.1 + u}[kind])
         ev = np.clip(np.array(ev), 1e-300, None)
         with np.errstate(divide="ignore", over="ignore"):  # a triple of 1e-300s: -4.5 / 0
-            got = _Objective._log_kernel2(ev, _Objective._log_kernel(ev))
+            kernel, got = separable._log_kernels(ev)
             want = value_sorted_log_kernel2(ev)
         assert np.array_equal(got, want)
+        assert np.array_equal(kernel, separable._ln_divided(np.minimum.outer(ev, ev),
+                                                            np.maximum.outer(ev, ev)))
 
 
 class TestErNumericProperties:
@@ -459,7 +464,7 @@ def grid_gap(w_state, estimate, points=100_000):
     (a.r + b.s + a.T b) / 4."""
     objective = _Objective(w_state)
     x_sigma = np.einsum("kij,ji->k", PAULI_PRODUCTS, estimate.argmin.state()).real  # Tr[P_k sigma]
-    coeffs = -4.0 * _Point(x_sigma, objective).differentiate(objective).grad[0] / (1.0 + REG_EPS)
+    coeffs = -4.0 * _Point(x_sigma, objective).differentiate().grad[0] / (1.0 + REG_EPS)
     r, s, t = coeffs[:3], coeffs[3:6], coeffs[6:].reshape(3, 3)
     beta = np.random.default_rng(12345).standard_normal((points, 3))
     beta /= np.linalg.norm(beta, axis=1, keepdims=True)
@@ -533,9 +538,12 @@ class TestPointRecord:
         rng = np.random.default_rng(seed)
         objective = _Objective(random_state(seed=seed, rank=4))
         x = near_boundary_point(rng) if near_boundary else interior_point(rng)
-        point = _Point(x, objective).differentiate(objective)
+        point = _Point(x, objective).differentiate()
         step = scale * rng.standard_normal(15)
         kept = point.step_sizes(step)
+        # the reference: each size against every diagonal entry
+        leaves = (_STEP_SIZES[:, None, None] * (step @ point.diag) < -1.0).any(axis=(1, 2))
+        assert np.array_equal(kept, _STEP_SIZES[~leaves])
         dropped = _STEP_SIZES[: len(_STEP_SIZES) - len(kept)]
         assert np.array_equal(kept, _STEP_SIZES[len(dropped):])  # only the largest sizes go
         for size in dropped:
@@ -594,8 +602,93 @@ class TestPointRecord:
         # one differentiation per accepted point and the start, however many times t grew
         calls = []
         real = _Point.differentiate
-        monkeypatch.setattr(_Point, "differentiate",
-                            lambda self, objective: calls.append(1) or real(self, objective))
+        monkeypatch.setattr(_Point, "differentiate", lambda self: calls.append(1) or real(self))
         estimate = er_numeric(campaign_states(2, 7)[1][0])
         assert estimate.converged
         assert len(calls) == estimate.iterations + 1
+
+
+def bisection_floor(grad, dual):
+    """The reference dual search: lambda_min(grad - s dual) bracketed by doubling s from 1, then
+    bisected on its slope until the tangent at the last rising s caps it at the bracket's top
+    within the roundoff margin; the best value less that margin, and the number of probes."""
+    norms = float(np.abs(grad).sum()), float(np.abs(dual).sum())
+    lo, hi, floor, s, best, rise = 0.0, math.inf, -math.inf, 1.0, 1.0, None
+    for probes in range(1, DUAL_STEPS + 1):
+        ev, vec = np.linalg.eigh(grad - s * dual)
+        slope = -float((vec[:, 0].conj() @ dual @ vec[:, 0]).real)
+        if ev[0] > floor:
+            floor, best = float(ev[0]), s
+        if slope > 0.0:
+            lo, rise = s, (float(ev[0]), slope)
+        else:
+            hi = s
+        margin = DUAL_ROUNDOFF * (norms[0] + best * norms[1])
+        if rise is not None and rise[0] + rise[1] * (hi - lo) - floor <= margin:
+            break
+        s = 2.0 * s if hi == math.inf else 0.5 * (lo + hi)
+    return floor - margin, probes
+
+
+def counted_dual_floor(grad, dual, monkeypatch):
+    """_dual_floor(grad, dual), the number of eigh probes it made and a bound on its roundoff
+    margin (at an s of at most 1) plus the roundoff of lambda_min itself."""
+    calls, real = [], np.linalg.eigh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real(a))
+        floor = _dual_floor(grad, dual)
+    return floor, len(calls), 2.0 * DUAL_ROUNDOFF * (np.abs(grad).sum() + np.abs(dual).sum())
+
+
+class TestDualSearch:
+    MAX_PROBES = 12
+
+    def test_certificates_of_the_end_to_end_states(self, monkeypatch):
+        # every certificate of E2E-1's first 40 states and E2E-2's first 50: the Newton search
+        # ends within MAX_PROBES eigh probes (the bisection takes up to 32) and its bound is at
+        # least the bisection's, to roundoff
+        pencils, calls, real_eigh = [], [], np.linalg.eigh
+        real_dual_floor, real_decomposition = separable._dual_floor, product_decomposition
+
+        def dual_floor(grad, dual):
+            calls.clear()
+            floor = real_dual_floor(grad, dual)
+            pencils.append((grad, dual, floor, len(calls)))
+            return floor
+
+        def decomposition(rho):  # its eigh calls are not probes
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", real_eigh)
+                return real_decomposition(rho)
+
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+        monkeypatch.setattr(separable, "_dual_floor", dual_floor)
+        monkeypatch.setattr(separable, "product_decomposition", decomposition)
+        estimates = [er_numeric(w_state, E2E1) for w_state, _ in campaign_states(40, 2024)]
+        estimates += [er_numeric(w_state) for w_state, _ in campaign_states(50, 7)]
+        monkeypatch.undo()
+        assert len(pencils) == 59
+        assert all(estimate.lower <= estimate.value for estimate in estimates)
+        for grad, dual, floor, probes in pencils:
+            assert probes <= self.MAX_PROBES
+            assert floor >= bisection_floor(grad, dual)[0] - 1e-12
+
+    def test_maximum_at_zero(self, monkeypatch):
+        # a positive definite dual: lambda_min falls from s = 0, where the bisection never finds
+        # a rising s and spends every probe
+        rng = np.random.default_rng(80)
+        a, b = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        grad, dual = a + a.conj().T, b @ b.conj().T + 0.1 * np.eye(4)
+        floor, probes, margin = counted_dual_floor(grad, dual, monkeypatch)
+        best = float(np.linalg.eigvalsh(grad)[0])
+        assert best - margin <= floor <= best and probes <= self.MAX_PROBES
+        assert bisection_floor(grad, dual)[1] == DUAL_STEPS
+
+    def test_eigenvalue_crossing(self, monkeypatch):
+        # lambda_min = min(s, 1 - s) in a random basis: a kink at its maximum 1/2, where two
+        # eigenvalues cross and Newton's curvature is undefined
+        frame = random_unitary(np.random.default_rng(81), 4)
+        grad, dual = (frame @ np.diag(d).astype(complex) @ frame.conj().T
+                      for d in ([0.0, 1.0, 5.0, 5.0], [-1.0, 1.0, 0.0, 0.0]))
+        floor, probes, margin = counted_dual_floor(grad, dual, monkeypatch)
+        assert 0.5 - margin <= floor <= 0.5 and probes <= self.MAX_PROBES
