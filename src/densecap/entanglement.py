@@ -26,9 +26,14 @@ def entropy_of_entanglement(rho):
     """Entropy of either marginal of a pure two-qubit state, in bits."""
     rho = validate_state(rho)
     purity = np.trace(rho @ rho).real
-    if abs(purity - 1.0) > PURITY_TOL:
+    if not _pure(purity):
         raise NotPure(f"Tr rho^2 = {purity:.10f} is not 1 within {PURITY_TOL:.0e}")
     return von_neumann(partial_trace(rho, over="A"))
+
+
+def _pure(purity):
+    """Whether a state of purity Tr rho^2 is pure, within PURITY_TOL."""
+    return abs(purity - 1.0) <= PURITY_TOL
 
 
 def concurrence(rho):
@@ -41,8 +46,11 @@ def concurrence(rho):
     sqrt of eigenvalue roundoff; spectral weight below ~4 eps is treated as
     an exact zero for the same reason.
     """
-    rho = validate_state(rho)
-    evals, evecs = np.linalg.eigh(rho)
+    return _concurrence(*np.linalg.eigh(validate_state(rho)))
+
+
+def _concurrence(evals, evecs):
+    """The concurrence of the state with eigendecomposition (evals, evecs)."""
     keep = evals > 4.0 * np.finfo(float).eps
     sub = evecs[:, keep] * np.sqrt(evals[keep])
     overlap = sub.T.conj() @ SPIN_FLIP @ sub.conj()
@@ -54,13 +62,21 @@ def concurrence(rho):
 
 def entanglement_of_formation(rho):
     """E_F in bits: binary entropy of the concurrence-derived mixing weight."""
-    c = concurrence(rho)
+    return _formation(concurrence(rho))
+
+
+def _formation(c):
+    """E_F of a state of concurrence c."""
     return binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - c * c))) / 2.0)
 
 
 def is_ppt(rho):
     """Positive partial transpose; equivalent to separability for two qubits."""
-    rho = validate_state(rho)
+    return _ppt(validate_state(rho))
+
+
+def _ppt(rho):
+    """is_ppt of a validated rho."""
     return bool(np.linalg.eigvalsh(partial_transpose(rho)).min() >= -PPT_TOL)
 
 
@@ -80,6 +96,11 @@ def hashing_distillable(rho):
     states, whose marginals are I/2, it is 1 - S(rho).
     """
     rho = validate_state(rho)
-    marginals = np.linalg.eigvalsh(np.stack([partial_trace(rho, "A"), partial_trace(rho, "B")]))
-    s_marginal = float(entropy_of_eigenvalues(marginals).max())
-    return min(max(s_marginal - entropy_of_eigenvalues(np.linalg.eigvalsh(rho)), 0.0), 1.0)
+    marginals = np.linalg.eigvalsh(np.stack([partial_trace(rho, "B"), partial_trace(rho, "A")]))
+    s_a, s_b = entropy_of_eigenvalues(marginals)
+    return _hashing(s_a, s_b, entropy_of_eigenvalues(np.linalg.eigvalsh(rho)))
+
+
+def _hashing(s_a, s_b, s_ab):
+    """The hashing yield of a state with entropies S(A), S(B) and S(AB)."""
+    return min(max(float(max(s_a, s_b)) - s_ab, 0.0), 1.0)

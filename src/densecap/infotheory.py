@@ -50,14 +50,19 @@ def relative_entropy(sigma, rho):
 def _relative_entropies(sigmas, rhos):
     """The (k, m) array of S(sigma_i || rho_j) for validated (k, n, n) and (m, n, n) stacks, each
     entry by relative_entropy's rule, from one eigvalsh of the sigmas and one eigh of the rhos."""
-    neg_entropies = -entropy_of_eigenvalues(np.linalg.eigvalsh(sigmas))
-    ev, vec = np.linalg.eigh(rhos)
+    return _relative_entropies_to(sigmas, entropy_of_eigenvalues(np.linalg.eigvalsh(sigmas)),
+                                  *np.linalg.eigh(rhos))
+
+
+def _relative_entropies_to(sigmas, entropies, ev, vec):
+    """_relative_entropies(sigmas, rhos) from the sigmas' (k,) entropies and the stacked eigh
+    (ev, vec) of the rhos."""
     weights = np.einsum("jba,ibc,jca->ija", vec.conj(), sigmas, vec).real.clip(0.0, None)
     kernel = ev < SUPPORT_KERNEL_TOL
     log_ev = np.log2(np.where(kernel, 1.0, ev))  # 0 on the kernel, so its weights drop out
     # one (1, n) @ (n, 1) dot per pair adds its terms in a 1-D dot's order, unlike .sum(-1)
     cross = (weights[:, :, None, :] @ log_ev[None, :, :, None])[:, :, 0, 0]
-    values = _clamp(neg_entropies[:, None] - cross)
+    values = _clamp(-entropies[:, None] - cross)
     return np.where((weights * kernel).sum(-1) > SUPPORT_WEIGHT_TOL, np.inf, values)
 
 

@@ -344,10 +344,12 @@ def _dual_floor(grad, dual):
     """max over s >= 0 of the concave lambda_min(grad - s dual), from below: the best probe's value
     less the roundoff margin (DUAL_ROUNDOFF, per unit of the matrices' entries).  From s = 1, each
     probe's eigh gives the slope -<v_0|Z|v_0> and curvature 2 sum_{a>0} |<v_a|Z|v_0>|^2 /
-    (lambda_0 - lambda_a) of a Newton step, doubled while the bracket of the maximum is open above.
-    A step that leaves the bracket, or one from a kink (lambda_0 near-degenerate), gives way to the
-    meeting point of the tangents at the bracket's ends, or to doubling.  By concavity that point
-    caps lambda_min, so the search stops once it is within the margin of the best value."""
+    (lambda_0 - lambda_a) of a Newton step, doubled and capped at 4 s while the bracket of the
+    maximum is open above (a near-linear lambda_min would send it where no tangent has a correct
+    digit).  A step that leaves the bracket, or one from a kink (lambda_0 near-degenerate), gives
+    way to the meeting point of the tangents at the bracket's ends, or to doubling.  By concavity
+    that point caps lambda_min, so the search stops once it is within the margin of the best
+    value."""
     norms = float(np.abs(grad).sum()), float(np.abs(dual).sum())
     lo, hi, low, high = 0.0, math.inf, None, None  # the bracket and its ends' tangents (b, g): b + g s
     floor, best, s = -math.inf, 0.0, 1.0
@@ -373,6 +375,8 @@ def _dual_floor(grad, dual):
         if ev[1] - ev[0] > DUAL_KINK * (norms[0] + s * norms[1]):
             curvature = 2.0 * float((np.abs(z[1:]) ** 2 / (ev[0] - ev[1:])).sum())
             target = s - (1.0 if high else 2.0) * slope / curvature if curvature < 0.0 else math.nan
+        if high is None and target > 4.0 * s:
+            target = 4.0 * s
         if lo < target < hi:
             s = target
         elif high is None:

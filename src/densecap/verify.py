@@ -19,13 +19,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .densecoding import capacity, distinguishability, sdc_average_check, sdc_letters
-from .entanglement import entanglement_of_formation, entropy_of_entanglement, hashing_distillable
-from .errors import NotPure, OutOfRange
+from .densecoding import _sdc_capacity, _sdc_distinguishability, sdc_average_check
+from .densecoding import sdc_letters  # noqa: F401 (perfbench/test_smoke.py reads it here)
+from .entanglement import _concurrence, _formation, _hashing, _pure
+from .errors import InvalidState, OutOfRange
+from .infotheory import entropy_of_eigenvalues
+from .linalg import as_matrix, partial_trace
 from .separable import ErConfig, er_numeric
-from .states import (
-    FAMILIES, check_each, check_integer, check_real, parse_family, random_state, validate_state,
-)
+from .states import FAMILIES, check_each, check_integer, check_real, parse_family, random_state
 
 CLOSED_FORM_TOL = 1e-9
 LEMMA_TOL = 1e-12
@@ -104,8 +105,12 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
     by the solver's gap_tol, since a converged lower end may sit that far below
     E_R and the bound holds with equality on some states (lambda_b, rank-2
     Bell-diagonal).
+
+    C, delta, E_F, E_v and the hashing yield come from one eigh of w0 and one eigvalsh of its two
+    marginals: C = 1 + S(rho_B) - S(W0), and delta = C + S(I/2 x rho_B || W0) by Donald's
+    identity, so delta_bound_ok checks Klein's inequality on that relative entropy.
     """
-    w0 = validate_state(w0)
+    w0 = as_matrix(w0, (4,), InvalidState, "state")  # er_numeric checks the rest of validate_state
     e_r_closed = None
     if family is None and params is not None:
         raise OutOfRange(f"params {params!r} given without a family")
@@ -118,17 +123,16 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
     tols = default_tolerances()
     caveats = []
 
-    ensemble = sdc_letters(w0)
-    c_sdc = capacity(ensemble)
-    delta = distinguishability(ensemble)
-
-    try:
-        e_v = entropy_of_entanglement(w0)
-    except NotPure:
-        e_v = None
-
-    e_f = entanglement_of_formation(w0)
-    estimate = er_numeric(w0, er_config)
+    estimate = er_numeric(w0, er_config)  # validates w0 for the lines below
+    ev, vec = np.linalg.eigh(w0)
+    rho_b = partial_trace(w0, "A")
+    marginals = np.linalg.eigvalsh(np.stack([partial_trace(w0, "B"), rho_b]))  # rho_A, rho_B
+    s_a, s_b = entropy_of_eigenvalues(marginals)
+    s_w = entropy_of_eigenvalues(ev)
+    c_sdc = _sdc_capacity(s_b, s_w)
+    delta = _sdc_distinguishability(c_sdc, s_b, rho_b, ev, vec)
+    e_v = float(s_a) if _pure(float(ev @ ev)) else None  # the purity is sum ev^2
+    e_f = _formation(_concurrence(ev, vec))
     if not estimate.converged:
         caveats.append("numeric E_R minimizer stopped before certifying its gap")
 
@@ -166,7 +170,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
         e_r_numeric_lower=estimate.lower,
         e_r_numeric_converged=estimate.converged,
         delta=delta,
-        e_d_interval=[hashing_distillable(w0), e_r_upper],
+        e_d_interval=[_hashing(s_a, s_b, s_w), e_r_upper],
         flags=flags,
         tolerances=tols,
         caveats=caveats,

@@ -673,6 +673,24 @@ class TestDualSearch:
             assert probes <= self.MAX_PROBES
             assert floor >= bisection_floor(grad, dual)[0] - 1e-12
 
+    def test_near_linear_pencil_at_a_tight_gap_tol(self, monkeypatch):
+        # the first certificate of E2E-2's state 9 at gap_tol 1e-10: lambda_min is almost linear
+        # near s = 1, and an uncapped Newton step went to s = 3.3e16 and stopped at -1.039
+        class Captured(Exception):
+            pass
+
+        def capture(grad, dual):
+            pencils.append((grad, dual))
+            raise Captured
+
+        pencils = []
+        monkeypatch.setattr(separable, "_dual_floor", capture)
+        with pytest.raises(Captured):
+            er_numeric(campaign_states(10, 7)[9][0], ErConfig(gap_tol=1e-10))
+        ((grad, dual),) = pencils
+        reference = bisection_floor(grad, dual)[0]
+        assert abs(_dual_floor(grad, dual) - reference) <= 1e-12 and abs(reference + 0.4666) < 1e-4
+
     def test_maximum_at_zero(self, monkeypatch):
         # a positive definite dual: lambda_min falls from s = 0, where the bisection never finds
         # a rising s and spends every probe

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import densecap
+from conftest import random_unitary
 from densecap import (
     CgdcEncoding,
     LetterEnsemble,
@@ -20,9 +21,13 @@ from densecap import (
     capacity_closed_form,
     check_bounds,
     conjugate_local,
+    distinguishability,
+    entanglement_of_formation,
+    entropy_of_entanglement,
     er_closed_form,
     er_numeric,
     gdc_ensemble,
+    hashing_distillable,
     lambda_a,
     lambda_b,
     partial_trace,
@@ -42,7 +47,8 @@ from densecap.states import (
     PauliDecomposition, binary_entropy, build_family_state, from_pauli, state_from_json_dict,
     state_to_json_dict,
 )
-from densecap.errors import BadDimension, DensecapError, InvalidState, OutOfRange
+from densecap.errors import BadDimension, DensecapError, InvalidState, NotPure, OutOfRange
+from densecap.infotheory import SUPPORT_KERNEL_TOL
 from densecap.separable import ErConfig
 from densecap.verify import (
     LEMMA_TOL,
@@ -50,6 +56,7 @@ from densecap.verify import (
     default_tolerances,
     format_sweep_csv,
     lemma_campaign,
+    lemma_ok,
 )
 
 FAST_ER = ErConfig(max_iter=400, gap_tol=1e-4)
@@ -157,6 +164,55 @@ class TestCheckBounds:
     def test_distillation_interval(self):
         report = check_bounds(bell("phi+"), family="pure_schmidt", params=[0.5], er_config=FAST_ER)
         assert report.e_d_interval == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @example(seed=202, kind="random", rank=4, mix=0.0, frame=False)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "product", "bell"]),
+           rank=st.integers(1, 4), mix=st.sampled_from([0.0, 0.0, 0.1, 0.6]), frame=st.booleans())
+    def test_report_matches_the_public_measures(self, seed, kind, rank, mix, frame):
+        # C, delta, E_F, E_v and the hashing yield come from W0's spectrum in the report, and
+        # from the SDC letters and the public measures here, on states of ranks 1 to 4 (pure and
+        # rank-deficient ones included), PPT products, Bell-diagonal mixtures and mixtures with
+        # I/4 (0.1 or more, so that no eigenvalue sits within roundoff of the support cut), each
+        # in a random local frame or not
+        rng = np.random.default_rng(seed)
+
+        def qubit(pure):
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            projector = np.outer(v, v.conj()) / np.vdot(v, v).real
+            return projector if pure else (projector + np.diag(rng.dirichlet(np.ones(2)))) / 2
+
+        if kind == "random":
+            w0 = random_state(seed, rank)
+        elif kind == "product":  # PPT, of rank 1, 2 or 4
+            w0 = tensor(qubit(rank <= 2), qubit(rank == 1))
+        else:
+            weights = rng.dirichlet(np.ones(rank))
+            w0 = bell_diagonal(np.concatenate([weights, np.zeros(4 - rank)])[rng.permutation(4)])
+        w0 = (1.0 - mix) * w0 + mix * np.eye(4) / 4
+        if frame:
+            local = tensor(random_unitary(rng), random_unitary(rng))
+            w0 = local @ w0 @ local.conj().T
+        report = check_bounds(w0, er_config=FAST_ER)
+        letters = sdc_letters(w0)
+        delta = distinguishability(letters)
+        assert abs(report.c_sdc - capacity(letters)) <= 1e-13
+        assert math.isinf(report.delta) == math.isinf(delta)
+        # both routes take log2 of W0's least nonzero eigenvalue lam, whose roundoff is about
+        # 1e-16 absolute, so they may part by more than 1e-13, as 1 / lam: random_state(202, 4)
+        # has lam = 1.4e-5, and its delta to 40 digits is 9.2e-13 above this report's and 1e-14
+        # below the pair sum's
+        ev = np.linalg.eigvalsh(w0)
+        lam = ev[ev > SUPPORT_KERNEL_TOL].min()
+        assert math.isinf(delta) or abs(report.delta - delta) <= 1e-13 * max(1.0, 0.01 / lam)
+        assert abs(report.e_f - entanglement_of_formation(w0)) <= 1e-13
+        assert abs(report.e_d_interval[0] - hashing_distillable(w0)) <= 1e-13
+        try:
+            e_v = entropy_of_entanglement(w0)
+        except NotPure:
+            assert report.e_v is None
+        else:
+            assert abs(report.e_v - e_v) <= 1e-13
 
 
 class TestSweep:
@@ -497,20 +553,57 @@ def test_campaign_summaries_take_a_numpy_seed():
     assert json.loads(json.dumps(lemma_campaign(1, np.int64(3))))["seed"] == 3
 
 
-def test_check_bounds_builds_the_sdc_letters_once(monkeypatch):
-    import densecap.densecoding as dc
+def test_check_bounds_builds_no_letters_and_validates_at_most_four_times(monkeypatch):
+    # C and delta come from W0's spectrum, so a report builds no letter ensemble; W0 is
+    # validated by er_numeric, is_ppt and sdc_average_check, and product_decomposition
+    # (or, on a pure state, hashing_distillable) validates once more
+    import densecap.states as states
+    from densecap.infotheory import LetterEnsemble
+
+    calls, validate, post_init = [], states.validate_state, LetterEnsemble.__post_init__
+
+    def counted(*args, **kwargs):
+        calls.append("validate_state")
+        return validate(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("densecap") and getattr(module, "validate_state", None) is validate:
+            monkeypatch.setattr(module, "validate_state", counted)
+    monkeypatch.setattr(
+        LetterEnsemble, "__post_init__", lambda self: calls.append("ensemble") or post_init(self)
+    )
+    e2e1 = ErConfig(max_iter=600, gap_tol=1e-4)
+    panel = [w0 for w0, _ in campaign_states(8, 2024)] + [werner(0.3), bell("phi+")]
+    for w0 in panel:
+        calls.clear()
+        check_bounds(w0, er_config=e2e1)
+        assert "ensemble" not in calls and len(calls) <= 4, calls
+    calls.clear()
+    check_bounds(werner(0.75), family="werner", params=[0.75])
+    assert "ensemble" not in calls and len(calls) <= 4, calls
+
+
+# The offsets below are literal, not multiples of the constants, so that either constant scaled
+# by 100 or by 0.01 fails one of the two sides.
+@pytest.mark.parametrize("error, passes", [(0.5e-12, True), (2e-12, False)])
+def test_lemma_tolerance_on_each_side(error, passes):
+    check = densecap.sdc_average_check(werner(0.75))
+    assert lemma_ok(dataclasses.replace(check, product_form_error=error)) == passes
+
+
+@pytest.mark.parametrize("offset, passes", [(0.5e-9, True), (2e-9, False)])
+def test_closed_form_tolerance_on_each_side(monkeypatch, offset, passes):
+    # an E_R upper end offset above C fails lower_bound_ok only beyond CLOSED_FORM_TOL
     import densecap.verify as ver
 
-    calls, sdc_letters = [], dc.sdc_letters
-
-    def counted(w0):
-        calls.append(w0)
-        return sdc_letters(w0)
-
-    monkeypatch.setattr(ver, "sdc_letters", counted)
-    monkeypatch.setattr(dc, "sdc_letters", counted)
-    check_bounds(werner(0.75), family="werner", params=[0.75])
-    assert len(calls) == 1
+    monkeypatch.delenv("DENSECAP_TOL", raising=False)
+    w0, real = random_state(seed=5, rank=4), ver.er_numeric
+    c_sdc = check_bounds(w0, er_config=FAST_ER).c_sdc
+    monkeypatch.setattr(ver, "er_numeric", lambda w, config: dataclasses.replace(
+        real(w, config), value=c_sdc + offset))
+    report = check_bounds(w0, er_config=FAST_ER)
+    assert report.e_r_numeric == c_sdc + offset
+    assert report.flags["lower_bound_ok"] == passes
 
 
 def test_lemma_flag_reads_the_one_sdc_average_check(monkeypatch):
