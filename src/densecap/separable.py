@@ -7,8 +7,8 @@ coordinates of sigma, solved by a path-following log-det barrier method
 with Newton centering steps, rough ones until the t at which the certificate
 runs, each point evaluated once (a _Point).  The final sigma is PPT, so the
 value there bounds E_R from above, and the barrier's dual matrix at the
-same point bounds it from below (_certify).
-sigma is also written as <= 4 product pure states (a SeparableAnsatz).
+same point bounds it from below (_certify).  The estimate keeps sigma; its argmin, derived
+from sigma when read, writes it as <= 4 product pure states (a SeparableAnsatz).
 
 PPT states exit at their exact product decomposition (lower bound 0), pure
 states at their Schmidt terms (lower bound the hashing yield, at most E_R and
@@ -17,6 +17,7 @@ equal to it on pure states; see entanglement.hashing_distillable).
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
@@ -40,6 +41,7 @@ BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER
 CENTERING_TOL = 1e-10    # centered once the Newton decrement is below this share of the value
 ROUGH_CENTERING = 1e-2   # ... or below this, at a t where the certificate does not run
 LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of descent
+STALL_SHRINK = 0.5       # a certificate narrows the best E_R gap if it takes it below this share
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
 _STEP_SIZES = 0.5 ** np.arange(LINE_SEARCH_STEPS)
@@ -184,21 +186,30 @@ def _ln_divided(x, y):
     return np.where(y > x, np.log1p((y - x) / x) / np.where(y > x, y - x, 1.0), 1.0 / x)
 
 
-# on an ascending ev, the sorted index pair of each (i, j) and triple lo <= mid <= hi of each (i, k, j)
-_PAIRS = np.sort(np.stack(np.meshgrid(*[np.arange(4)] * 2, indexing="ij")), axis=0)
-_LO, _MID, _HI = np.sort(np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij")), axis=0)
+# sorted index pairs (ties first), then triples; _TRIPLES adds the positions of (lo, mid), (mid, hi)
+_SORTED = ([(i, i) for i in range(4)] + list(combinations(range(4), 2))
+           + list(combinations_with_replacement(range(4), 3)))
+_TRIPLES = [(*i, _SORTED.index(i[:2]), _SORTED.index(i[1:])) for i in _SORTED[10:]]
+_K_AT, _F_AT = (np.array([_SORTED.index(tuple(sorted(i))) for i in np.ndindex(*[4] * n)])
+                .reshape([4] * n) for n in (2, 3))
 
 
 def _log_kernels(ev):
     """The first and second divided differences K[i, j] = ln[ev_i, ev_j] and F[i, k, j] =
-    ln[ev_i, ev_k, ev_j] of an ascending ev, in one pass: F is (ln[a, b] - ln[b, c]) / (a - c) on
-    each sorted triple a <= b <= c, or -1/(2 m^2) at its mean m when c - a is below 1e-5 c."""
-    kernel = _ln_divided(*ev[_PAIRS])
-    a, b, c = ev[_LO], ev[_MID], ev[_HI]
-    near = c - a <= 1e-5 * c
-    spread = np.where(near, -1.0, a - c)
-    return kernel, np.where(near, -4.5 / (a + b + c) ** 2,
-                            (kernel[_LO, _MID] - kernel[_MID, _HI]) / spread)
+    ln[ev_i, ev_k, ev_j] of an ascending ev: F is (ln[a, b] - ln[b, c]) / (a - c) on each sorted
+    triple a <= b <= c, or -1/(2 m^2) at its mean m when c - a is below 1e-5 c.  Each distinct pair
+    and triple is one float expression (_ln_divided's, to the bit), scattered by _K_AT and _F_AT."""
+    e = ev.tolist()
+    logs = np.log1p([(e[j] - e[i]) / e[i] for i, j in _SORTED[4:10]]).tolist()
+    values = [1.0 / x for x in e] + [log / (e[j] - e[i]) if e[j] > e[i] else 1.0 / e[i]
+                                     for (i, j), log in zip(_SORTED[4:10], logs)]
+    for lo, mid, hi, p, q in _TRIPLES:
+        a, b, c = e[lo], e[mid], e[hi]
+        s = (a + b + c) * (a + b + c)
+        near = -4.5 / s if s else -math.inf  # three 1e-300s: -4.5 / 0
+        values.append((values[p] - values[q]) / (a - c) if c - a > 1e-5 * c else near)
+    values = np.array(values)
+    return values[_K_AT], values[_F_AT]
 
 
 class _Objective:
@@ -216,9 +227,9 @@ class _Objective:
     def at(self, mu, u):
         """(ev, wt, f) at the rho with eigendecomposition (mu, u): the regularized spectrum ev,
         wt = U^dagger W U and f, which reads wt's diagonal."""
-        ev = np.clip((mu + 0.25 * REG_EPS) / (1.0 + REG_EPS), 1e-300, None)
+        ev = np.maximum((mu + 0.25 * REG_EPS) / (1.0 + REG_EPS), 1e-300)
         wt = u.conj().T @ self.w @ u
-        return ev, wt, self.const - float(np.clip(wt.diagonal().real, 0.0, None) @ np.log2(ev))
+        return ev, wt, self.const - float(np.maximum(wt.diagonal().real, 0.0) @ np.log2(ev))
 
     def value(self, rho):
         return self.at(*np.linalg.eigh(rho))[2]
@@ -251,13 +262,13 @@ class ErConfig:
 class ErEstimate:
     """Proved interval [lower, value] on the relative entropy of entanglement, in bits.
 
-    value is the objective at a separable state (see er_numeric), so it is an upper bound;
-    argmin writes that state as <= 4 product pure states.  lower is a proved lower bound.
-    converged means gap = value - lower is at most the configured gap_tol.
+    value is the objective at sigma, a separable 4x4 state (see er_numeric), so it is an upper
+    bound; argmin writes sigma as <= 4 product pure states, derived from it when read.  lower
+    is a proved lower bound.  converged means gap = value - lower is at most the configured gap_tol.
     """
 
     value: float
-    argmin: SeparableAnsatz
+    sigma: np.ndarray
     converged: bool
     iterations: int
     lower: float
@@ -266,11 +277,15 @@ class ErEstimate:
     def gap(self):
         return self.value - self.lower
 
+    @property
+    def argmin(self):
+        return product_decomposition(self.sigma)
 
-def _estimate(value, lower, argmin, iterations, config):
+
+def _estimate(value, lower, sigma, iterations, config):
     """The ErEstimate of the interval [lower, value], both ends clamped at 0."""
     value, lower = max(value, 0.0), max(lower, 0.0)
-    return ErEstimate(value, argmin, value - lower <= config.gap_tol, iterations, lower)
+    return ErEstimate(value, sigma, value - lower <= config.gap_tol, iterations, lower)
 
 
 def _schmidt_mixture(w):
@@ -386,8 +401,9 @@ def _dual_floor(grad, dual):
     return floor - margin
 
 
-def _certify(point, t, config, iterations):
-    """Estimate at a differentiated point: value = f(sigma) >= E_R, sigma being PPT.
+def _certify(point, t, config, iterations, best):
+    """Estimate at a differentiated point: value = f(sigma) >= E_R, sigma being PPT; given the best
+    estimate so far (None at the first), the larger lower and the smaller value (with its sigma).
 
     G = sum_k g_k P_k / (1 + REG_EPS), from the point's Pauli gradient g, is f's gradient
     matrix less a multiple of I (which would shift Tr[G sigma] = g.x / (1 + REG_EPS) and
@@ -395,14 +411,16 @@ def _certify(point, t, config, iterations):
     on separable tau, so convexity gives S(W || tau) >= f(tau) - log2(1 + REG_EPS) >= value -
     Tr[G sigma] + lambda_min(G - s Z) - log2(1 + REG_EPS) for each s >= 0 (see _dual_floor).
     """
-    argmin = product_decomposition(_sigmas(point.x)[0])
     grad = np.tensordot(point.grad[0], PAULI_PRODUCTS, 1) / (1.0 + REG_EPS)
     # inverted through its eigenbasis: an LU inverse of the near-singular sigma^Gamma loses the
     # dual's weak directions (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7, not 4e-10 to 5e-8)
     dual = partial_transpose((point.u[1] / point.mu[1]) @ point.u[1].conj().T) / t
     lower = (point.f - float(point.grad[0] @ point.x) / (1.0 + REG_EPS) + _dual_floor(grad, dual)
              - math.log2(1.0 + REG_EPS))
-    return _estimate(point.f, lower, argmin, iterations, config)
+    keep = best is not None and best.value <= point.f  # the best value so far, with its sigma
+    lower = lower if best is None else max(lower, best.lower)
+    value, sigma = (best.value, best.sigma) if keep else (point.f, _sigmas(point.x)[0])
+    return _estimate(value, lower, sigma, iterations, config)
 
 
 def er_numeric(w, config=None):
@@ -415,28 +433,28 @@ def er_numeric(w, config=None):
     t = BARRIER_START, multiplying t by BARRIER_GROWTH after each centering; each Newton step is
     one iteration against config.max_iter.  While BARRIER_NU / t > gap_tol, a Newton decrement
     of ROUGH_CENTERING centers; from the first t with BARRIER_NU / t <= gap_tol, each point
-    centered to CENTERING_TOL goes to _certify, and the solve returns once value - lower <= gap_tol.
-    It also ends when the budget is spent or no step descends (the roundoff floor).  value is
-    the objective at the final sigma, in the PPT interior; argmin writes that sigma as <= 4
-    product states.  Deterministic.
+    centered to CENTERING_TOL goes to _certify, which keeps the largest lower and the smallest value
+    (with its sigma, in the PPT interior) so far.  The solve returns once value - lower <= gap_tol,
+    or once two certificates in a row fail to bring the gap below STALL_SHRINK of its best so far
+    (the roundoff floor), the budget is spent or no step descends.  Deterministic.
     """
     config = check_instance(ErConfig() if config is None else config, ErConfig, "E_R config")
     w = validate_state(w)
     objective = _Objective(w)
 
     if is_ppt(w):
-        argmin = product_decomposition(w)
-        estimate = _estimate(objective.value(argmin.state()), 0.0, argmin, 0, config)
+        sigma = product_decomposition(w).state()
+        estimate = _estimate(objective.value(sigma), 0.0, sigma, 0, config)
         if estimate.value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
             return estimate
     elif config.max_iter > 0 and objective.spectrum[-2] <= EIGEN_KEEP_TOL:
         # the hashing yield bounds E_R from below and equals it on pure states, so the gap is
         # roundoff, which no barrier solve could narrow: the exit stands whatever gap_tol is
-        argmin = _schmidt_mixture(w)
+        sigma = _schmidt_mixture(w).state()
         lower = hashing_distillable(w) - SCHMIDT_ROUNDOFF
-        return _estimate(objective.value(argmin.state()), lower, argmin, 1, config)
+        return _estimate(objective.value(sigma), lower, sigma, 1, config)
 
-    iterations, t = 0, BARRIER_START
+    iterations, t, best, stalls = 0, BARRIER_START, None, 0
     point = _Point(np.zeros(15), objective).differentiate()  # I/4
     while iterations < config.max_iter:
         value, step, decrement = point.newton(t)
@@ -445,9 +463,10 @@ def er_numeric(w, config=None):
         certify = BARRIER_NU / t <= config.gap_tol
         if not decrement > (CENTERING_TOL * max(1.0, abs(value)) if certify else ROUGH_CENTERING):
             if certify:
-                estimate = _certify(point, t, config, iterations)
-                if estimate.converged:
-                    return estimate
+                best, last = _certify(point, t, config, iterations, best), best
+                stalls = 0 if last is None or best.gap < STALL_SHRINK * last.gap else stalls + 1
+                if best.converged or stalls == 2:
+                    return best
             t *= BARRIER_GROWTH
             value, step, decrement = point.newton(t)
         iterations += 1
@@ -459,7 +478,7 @@ def er_numeric(w, config=None):
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma
             break
-    return _certify(point, t, config, iterations)
+    return _certify(point, t, config, iterations, best)
 
 
 def __getattr__(name):  # PEP 562: perfbench/tracer.py looks up these unused solvers

@@ -135,6 +135,16 @@ class TestConjugateLocal:
             assert abs(np.trace(out).real - 1.0) < 1e-12
             assert np.linalg.eigvalsh(out).min() > np.linalg.eigvalsh(w).min() - 1e-10
 
+    def test_matches_the_kronecker_product_entry_for_entry(self):
+        # the broadcast U x I is np.kron(u, I2) to the bit, so the conjugate is too
+        from conftest import random_unitary
+
+        rng = np.random.default_rng(112)
+        for seed in range(20):
+            w, u = random_state(seed=(112, seed), rank=seed % 4 + 1), random_unitary(rng)
+            big = np.kron(u, ID2)
+            assert np.array_equal(conjugate_local(w, u), big @ w @ big.conj().T)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitary):
             conjugate_local(ID4 / 4, np.array([[1, 1], [0, 1]], dtype=complex))

@@ -529,6 +529,56 @@ class TestReportedGap:
         er_numeric(werner(0.9), FAST)
         assert len(calls) == 2
 
+    def test_tight_gap_tol_keeps_the_best_interval_and_stops_at_the_floor(self, monkeypatch):
+        # at gap_tol 1e-10 the unconverged E2E-2 states reach a gap floor of 1e-10 to 1e-8 by
+        # t ~ 6.6e11; without the stall rule each spent all 1,500 steps (34,854 for the 50)
+        certificates, real = [], separable._certify
+
+        def certify(point, t, config, iterations, best):
+            certificates.append(real(point, t, config, iterations, None))  # its own interval
+            return real(point, t, config, iterations, best)
+
+        monkeypatch.setattr(separable, "_certify", certify)
+        steps = converged = 0
+        for w_state, _ in campaign_states(50, 7):
+            certificates.clear()
+            estimate = er_numeric(w_state, ErConfig(gap_tol=1e-10))
+            steps, converged = steps + estimate.iterations, converged + estimate.converged
+            if certificates:  # the largest lower and the smallest value, with its sigma
+                assert estimate.lower == max(c.lower for c in certificates)
+                top = min(certificates, key=lambda c: c.value)
+                assert estimate.value == top.value and np.array_equal(estimate.sigma, top.sigma)
+                assert estimate.gap <= min(c.gap for c in certificates)
+        assert steps <= 6970 and converged >= 27
+        # E2E-2 state 13 with 37 steps: the certificate after the spent budget, at a point left
+        # off center, has a lower 7e-13 below the one before it, whose lower the solve keeps
+        certificates.clear()
+        estimate = er_numeric(campaign_states(14, 7)[13][0], ErConfig(gap_tol=1e-10, max_iter=37))
+        assert len(certificates) == 2 and certificates[1].lower < certificates[0].lower
+        assert estimate.lower == certificates[0].lower and estimate.gap < certificates[1].gap
+
+
+class TestEstimateSigma:
+    # the barrier certificate (E2E-2 state 1), the PPT exit and the pure-state (Schmidt) exit
+    EXITS = {"barrier": lambda: campaign_states(2, 7)[1][0], "ppt": lambda: werner(0.3),
+             "schmidt": lambda: pure_schmidt(0.8, 0.6)}
+
+    def test_entangled_solve_makes_no_product_decomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(separable, "product_decomposition",
+                            lambda rho: calls.append(1) or product_decomposition(rho))
+        estimate = er_numeric(self.EXITS["barrier"]())
+        assert estimate.converged and estimate.iterations > 0 and not calls
+        assert estimate.argmin.k <= 4 and len(calls) == 1  # argmin decomposes sigma when read
+
+    @pytest.mark.parametrize("exit_kind", sorted(EXITS))
+    def test_sigma_is_the_state_of_value_and_of_argmin(self, exit_kind):
+        w_state = self.EXITS[exit_kind]()
+        estimate = er_numeric(w_state)
+        assert estimate.converged and estimate.sigma.shape == (4, 4)
+        assert abs(_Objective(w_state).value(estimate.sigma) - estimate.value) <= 1e-12
+        assert np.abs(estimate.argmin.state() - estimate.sigma).max() <= 1e-8
+
 
 class TestPointRecord:
     @settings(max_examples=60, deadline=None)
