@@ -338,14 +338,15 @@ class _Point:
         return self
 
     def newton(self, t):
-        """Barrier value t f - logdet, Newton step and Newton decrement at weight t.  A singular
-        Hessian (the roundoff floor) gives a NaN step, which the line search rejects."""
+        """Barrier value t f - logdet, Newton step and Newton decrement at weight t, and the
+        central path's tangent dx/dt = -(t H_f + H_phi)^-1 grad f from the same solve.  A singular
+        Hessian (the roundoff floor) gives NaN steps, which the line search rejects."""
         grad, hess = t * self.grad[0] + self.grad[1], t * self.hess[0] + self.hess[1]
         try:
-            step = np.linalg.solve(hess, -grad)
+            step, tangent = np.linalg.solve(hess, -np.array((grad, self.grad[0])).T).T
         except np.linalg.LinAlgError:
-            step = np.full(15, math.nan)
-        return t * self.f - self.logdet, step, -float(grad @ step)
+            step = tangent = np.full(15, math.nan)
+        return t * self.f - self.logdet, step, -float(grad @ step), tangent
 
     def step_sizes(self, step):
         """The line search's sizes 1, 1/2, ... less those at which a diagonal entry of the trial
@@ -353,6 +354,16 @@ class _Point:
         size (diag @ step)_ga < -1 holds for some entry exactly when it holds for the least."""
         least = (step @ self.diag).min()
         return _STEP_SIZES[_STEP_SIZES * least >= -1.0] if least < -1.0 else _STEP_SIZES
+
+    def search(self, t, value, step, decrement, objective):
+        """Backtracking from this point along step at weight t (inf outside the PPT interior): the
+        first trial with Armijo descent, differentiated, or None if none descends (as none does
+        when the decrement is not positive, or is NaN)."""
+        for size in self.step_sizes(step) if decrement > 0.0 else ():
+            trial = _Point(self.x + size * step, objective)
+            if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
+                return trial.differentiate()
+        return None
 
 
 def _dual_floor(grad, dual):
@@ -429,14 +440,17 @@ def er_numeric(w, config=None):
     PPT states exit at their exact product decomposition (lower 0, no iteration) and pure states
     at their Schmidt terms (lower hashing_distillable(w), E_R there; one iteration, converged or
     not).  Otherwise a path-following barrier method minimizes t S(W || sigma) - ln det sigma
-    - ln det sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4 and
-    t = BARRIER_START, multiplying t by BARRIER_GROWTH after each centering; each Newton step is
-    one iteration against config.max_iter.  While BARRIER_NU / t > gap_tol, a Newton decrement
-    of ROUGH_CENTERING centers; from the first t with BARRIER_NU / t <= gap_tol, each point
-    centered to CENTERING_TOL goes to _certify, which keeps the largest lower and the smallest value
-    (with its sigma, in the PPT interior) so far.  The solve returns once value - lower <= gap_tol,
-    or once two certificates in a row fail to bring the gap below STALL_SHRINK of its best so far
-    (the roundoff floor), the budget is spent or no step descends.  Deterministic.
+    - ln det sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4.  t runs up to
+    t_star = BARRIER_NU / gap_tol by factors of BARRIER_GROWTH, from the first at least
+    BARRIER_START, then grows by BARRIER_GROWTH; at each growth from t to t' the first step is
+    t (1 - t / t') dx/dt, the central path's tangent scaled for a path x(t) ~ x* + c / t, with a
+    Newton step at t' in its place if no size of it descends.  Each step is one iteration against
+    config.max_iter.  Before t_star, a Newton decrement of ROUGH_CENTERING centers; from t_star
+    on, each point centered to CENTERING_TOL goes to _certify, which keeps the largest lower and
+    the smallest value (with its sigma, in the PPT interior) so far.  The solve returns once
+    value - lower <= gap_tol, or once two certificates in a row fail to bring the gap below
+    STALL_SHRINK of its best so far (the roundoff floor), the budget is spent or no step
+    descends.  Deterministic.
     """
     config = check_instance(ErConfig() if config is None else config, ErConfig, "E_R config")
     w = validate_state(w)
@@ -454,30 +468,41 @@ def er_numeric(w, config=None):
         lower = hashing_distillable(w) - SCHMIDT_ROUNDOFF
         return _estimate(objective.value(sigma), lower, sigma, 1, config)
 
-    iterations, t, best, stalls = 0, BARRIER_START, None, 0
+    # the schedule ends on the certificate's t, t_star (finite, whatever gap_tol): each t is
+    # t_star / BARRIER_GROWTH**rounds, from the first at least BARRIER_START, so no product of
+    # growths can overshoot it
+    t_star, rounds = min(BARRIER_NU / config.gap_tol, np.finfo(float).max), 0
+    while t_star / BARRIER_GROWTH ** rounds >= BARRIER_GROWTH * BARRIER_START:
+        rounds += 1
+    iterations, t, best, stalls = 0, t_star / BARRIER_GROWTH ** rounds, None, 0
     point = _Point(np.zeros(15), objective).differentiate()  # I/4
     while iterations < config.max_iter:
-        value, step, decrement = point.newton(t)
-        # the certificate runs from the first t whose bound BARRIER_NU / t is within gap_tol, and
-        # only its point needs tight centering; before it, a rough one keeps the iterate on path
-        certify = BARRIER_NU / t <= config.gap_tol
+        value, step, decrement, tangent = point.newton(t)
+        steps = [(value, step, decrement)]
+        # the certificate runs from t_star, and only its point needs tight centering; before it,
+        # a rough one keeps the iterate on path
+        certify = t >= t_star
         if not decrement > (CENTERING_TOL * max(1.0, abs(value)) if certify else ROUGH_CENTERING):
             if certify:
                 best, last = _certify(point, t, config, iterations, best), best
                 stalls = 0 if last is None or best.gap < STALL_SHRINK * last.gap else stalls + 1
                 if best.converged or stalls == 2:
                     return best
-            t *= BARRIER_GROWTH
-            value, step, decrement = point.newton(t)
+            rounds -= 1
+            last_t, t = t, t_star / BARRIER_GROWTH ** rounds
+            # the tangent predicts the new center on a path x(t) ~ x* + c / t; a Newton step at
+            # the new t (None: solved only if needed) takes over if no size of it descends
+            predicted = last_t * (1.0 - last_t / t) * tangent
+            grad = t * point.grad[0] + point.grad[1]
+            steps = [(t * point.f - point.logdet, predicted, -float(grad @ predicted)), None]
         iterations += 1
-        # backtracking (inf outside the PPT interior); only an accepted trial is differentiated
-        for size in point.step_sizes(step):
-            trial = _Point(point.x + size * step, objective)
-            if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
-                point = trial.differentiate()
+        for candidate in steps:
+            moved = point.search(t, *(candidate or point.newton(t)[:3]), objective)
+            if moved is not None:
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma
             break
+        point = moved
     return _certify(point, t, config, iterations, best)
 
 

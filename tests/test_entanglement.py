@@ -28,7 +28,7 @@ from densecap import (
     werner,
 )
 from densecap.errors import NotASimplex, NotPure, OutOfRange
-from densecap.linalg import tensor
+from densecap.linalg import partial_transpose, tensor
 from densecap.states import projector
 
 SWAP = np.eye(4)[[0, 2, 1, 3]]  # |ab> -> |ba>
@@ -180,6 +180,14 @@ class TestIsPpt:
         for f in np.arange(0.0, 1.0001, 0.02):
             f = min(f, 1.0)
             assert is_ppt(werner(f)) == (f <= 0.5 + 1e-9)
+
+    # literal offsets, not multiples of PPT_TOL, so that the constant scaled by 100 or by 0.01
+    # fails one side: bell_diagonal([1/2 + c, 1/2 - c, 0, 0])^Gamma has least eigenvalue -c
+    @pytest.mark.parametrize("c, ppt", [(0.5e-10, True), (2e-10, False)])
+    def test_tolerance_on_each_side(self, c, ppt):
+        rho = bell_diagonal([0.5 + c, 0.5 - c, 0.0, 0.0])
+        assert np.linalg.eigvalsh(partial_transpose(rho)).min() == pytest.approx(-c, rel=1e-4)
+        assert is_ppt(rho) == ppt
 
 
 class TestErClosedForm:

@@ -27,6 +27,9 @@ from densecap.errors import OutOfRange
 from densecap.linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
     _STEP_SIZES,
+    BARRIER_GROWTH,
+    BARRIER_NU,
+    BARRIER_START,
     DUAL_ROUNDOFF,
     DUAL_STEPS,
     REG_EPS,
@@ -414,11 +417,12 @@ class TestErNumericProperties:
         assert estimate.lower - 1e-9 <= closed <= estimate.value + 1e-9, (name, params, estimate)
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), gap_tol=st.sampled_from([1e-13, 1e-5, 1e-2]),
+    @given(data=st.data(), gap_tol=st.sampled_from([5e-324, 1e-13, 1e-5, 1e-2]),
            max_iter=st.sampled_from([3, 100]))
     def test_interval_invariant_at_every_exit(self, data, gap_tol, max_iter):
         # the PPT, Schmidt, barrier-certificate and spent-budget exits all return through one
-        # constructor; bell_diagonal([.5, .5, 0, 0]) exits PPT above a 1e-13 gap_tol
+        # constructor; bell_diagonal([.5, .5, 0, 0]) exits PPT above a 1e-13 gap_tol, and the
+        # least gap_tol puts the certificate's t, BARRIER_NU / gap_tol, beyond the floats
         source = data.draw(st.sampled_from(["random", "ppt_boundary"] + sorted(FAMILIES)))
         if source == "random":
             seed, rank = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 4))
@@ -530,8 +534,9 @@ class TestReportedGap:
         assert len(calls) == 2
 
     def test_tight_gap_tol_keeps_the_best_interval_and_stops_at_the_floor(self, monkeypatch):
-        # at gap_tol 1e-10 the unconverged E2E-2 states reach a gap floor of 1e-10 to 1e-8 by
-        # t ~ 6.6e11; without the stall rule each spent all 1,500 steps (34,854 for the 50)
+        # at gap_tol 1e-10 the aimed t = 8e10 certifies before the roundoff floor, and the 3
+        # unconverged E2E-2 states stop at gaps of 1.6e-10 to 3.1e-10 by t = 2.16e15, after 868
+        # steps for the 50 with 47 converged; without the stall rule each spent all 1,500 steps
         certificates, real = [], separable._certify
 
         def certify(point, t, config, iterations, best):
@@ -549,11 +554,12 @@ class TestReportedGap:
                 top = min(certificates, key=lambda c: c.value)
                 assert estimate.value == top.value and np.array_equal(estimate.sigma, top.sigma)
                 assert estimate.gap <= min(c.gap for c in certificates)
-        assert steps <= 6970 and converged >= 27
-        # E2E-2 state 13 with 37 steps: the certificate after the spent budget, at a point left
-        # off center, has a lower 7e-13 below the one before it, whose lower the solve keeps
+        assert steps <= 1000 and converged >= 45  # 868 and 47, with a margin for roundoff
+        # E2E-2 state 1 at gap_tol 1e-12 with 30 steps: the certificate after the spent budget, at
+        # a point one step past t = 8e12, has a lower 1e-11 below the one before it, whose lower
+        # the solve keeps
         certificates.clear()
-        estimate = er_numeric(campaign_states(14, 7)[13][0], ErConfig(gap_tol=1e-10, max_iter=37))
+        estimate = er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=1e-12, max_iter=30))
         assert len(certificates) == 2 and certificates[1].lower < certificates[0].lower
         assert estimate.lower == certificates[0].lower and estimate.gap < certificates[1].gap
 
@@ -656,6 +662,59 @@ class TestPointRecord:
         estimate = er_numeric(campaign_states(2, 7)[1][0])
         assert estimate.converged
         assert len(calls) == estimate.iterations + 1
+
+
+def center(point, t, objective):
+    """Newton from point at weight t until the decrement is at most 1e-12 of the barrier value."""
+    while True:
+        value, step, decrement, _ = point.newton(t)
+        if decrement <= 1e-12 * max(1.0, abs(value)):
+            return point
+        point = point.search(t, value, step, decrement, objective)
+
+
+class TestBarrierPath:
+    @pytest.mark.parametrize("gap_tol", [8.0, 3.0, 1e-2, 3e-5, 1e-5, 1e-8, 1e-12])
+    def test_first_certificate_runs_at_the_aimed_t(self, gap_tol, monkeypatch):
+        # the schedule ends on BARRIER_NU / gap_tol, the least t whose bound is within gap_tol,
+        # and runs up to it by factors of BARRIER_GROWTH from at least BARRIER_START; products
+        # of growths from BARRIER_START would certify up to BARRIER_GROWTH times later
+        ts, certified, real_newton, real_certify = [], [], _Point.newton, separable._certify
+        monkeypatch.setattr(_Point, "newton", lambda self, t: ts.append(t) or real_newton(self, t))
+        monkeypatch.setattr(separable, "_certify", lambda point, t, *rest: (
+            certified.append(t) or real_certify(point, t, *rest)))
+        estimate = er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=gap_tol))
+        aimed = BARRIER_NU / gap_tol
+        assert certified and certified[0] == pytest.approx(aimed, rel=1e-12)
+        assert not certified[0] >= 0.5 * BARRIER_GROWTH * aimed
+        schedule = sorted(set(ts))
+        assert BARRIER_START <= schedule[0] < BARRIER_GROWTH * BARRIER_START
+        assert np.allclose(np.diff(np.log(schedule)), math.log(BARRIER_GROWTH), rtol=1e-12)
+        assert estimate.converged == (estimate.gap <= gap_tol)
+
+    @pytest.mark.parametrize("index", [1, 3, 5, 6, 7])
+    def test_tangent_predicts_the_next_center(self, index):
+        # x(t) ~ x* + c / t: from the center at t, t (1 - t / t') dx/dt lands nearer the center
+        # at t' = BARRIER_GROWTH t than the old center is (0.002 to 0.82 of its distance here)
+        objective = _Objective(campaign_states(index + 1, 7)[index][0])
+        t, point = 1.0, _Point(np.zeros(15), objective).differentiate()
+        point = center(point, t, objective)
+        for _ in range(4):
+            tangent, grown = point.newton(t)[3], BARRIER_GROWTH * t
+            predicted = point.x + t * (1.0 - t / grown) * tangent
+            target = center(point, grown, objective)
+            assert np.linalg.norm(predicted - target.x) < np.linalg.norm(point.x - target.x)
+            t, point = grown, target
+
+    def test_nan_tangent_falls_back_to_newton(self, monkeypatch):
+        # a NaN predictor is rejected without a step, and a Newton step at the new t moves on
+        states = [campaign_states(index + 1, 7)[index][0] for index in (1, 3, 5, 6, 7)]
+        predicted = [er_numeric(w_state) for w_state in states]
+        real, nan = _Point.newton, np.full(15, math.nan)
+        monkeypatch.setattr(_Point, "newton", lambda self, t: (*real(self, t)[:3], nan))
+        fallback = [er_numeric(w_state) for w_state in states]
+        assert all(estimate.converged for estimate in fallback)
+        assert sum(e.iterations for e in predicted) < sum(e.iterations for e in fallback)
 
 
 def bisection_floor(grad, dual):

@@ -86,6 +86,19 @@ class TestBell:
                 assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-14
 
 
+# literal offsets, not multiples of STATE_PSD_TOL, so that the constant scaled by 100 or by 0.01
+# fails one side: (1 + c) |phi+><phi+| - c |psi-><psi-| has trace 1 and least eigenvalue -c
+@pytest.mark.parametrize("c, valid", [(0.5e-10, True), (2e-10, False)])
+def test_psd_tolerance_on_each_side(c, valid):
+    rho = (1.0 + c) * bell("phi+") - c * bell("psi-")
+    assert np.linalg.eigvalsh(rho).min() == pytest.approx(-c, rel=1e-4)
+    if valid:
+        assert np.array_equal(validate_state(rho), rho)
+    else:
+        with pytest.raises(InvalidState, match="negative eigenvalue"):
+            validate_state(rho)
+
+
 class TestFamilies:
     def test_lambda_a_endpoints(self):
         np.testing.assert_allclose(lambda_a(1.0), bell("phi+"), atol=1e-15)
