@@ -4,14 +4,14 @@ For two qubits the separable states are exactly the PPT states (Horodecki,
 Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
 {sigma > 0, sigma^Gamma > 0}: a smooth convex problem in the 15 Pauli
 coordinates of sigma, solved by a path-following log-det barrier method
-with Newton centering steps, rough ones until the t at which the certificate
-runs, each point evaluated once (a _Point).  The final sigma is PPT, so the
-value there bounds E_R from above, and the barrier's dual matrix at the
-same point bounds it from below (_certify).  The estimate keeps sigma; its argmin, derived
-from sigma when read, writes it as <= 4 product pure states (a SeparableAnsatz).
+with Newton centering steps, rough ones unless a certificate at a rough center
+fails, each point evaluated once (a _Point).  The final sigma is PPT, so the value
+there bounds E_R from above, and the barrier's dual matrix at the same point bounds it
+from below (_certify).  The estimate keeps sigma; its argmin, derived from sigma when
+read, writes it as <= 4 product pure states (a SeparableAnsatz).
 
-PPT states exit at their exact product decomposition (lower bound 0), pure
-states at their Schmidt terms (lower bound the hashing yield, at most E_R and
+PPT states exit at W, lifted to PPT by a roundoff share of I/4 if need be (lower bound
+0), pure states at their Schmidt terms (lower bound the hashing yield, at most E_R and
 equal to it on pure states; see entanglement.hashing_distillable).
 """
 
@@ -21,7 +21,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .entanglement import hashing_distillable, is_ppt
+from .entanglement import PPT_TOL, hashing_distillable
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
@@ -30,16 +30,16 @@ from .states import check_instance, check_integer, check_real, validate_state
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
-PPT_EXIT_TOL = 1e-9      # PPT states whose exact decomposition scores below this exit at once
+PPT_EXIT_TOL = 1e-9      # PPT states whose sigma (W, lifted to PPT) scores below this exit at once
 SCHMIDT_ROUNDOFF = 1e-13  # roundoff margin of the pure-state exit's lower bound (see er_numeric)
 DUAL_STEPS = 48          # most probes of the dual multiplier s (see _dual_floor)
 DUAL_KINK = 1e-8         # lambda_min's gap below which it is a kink, per unit of the matrices' entries
 DUAL_ROUNDOFF = 1e-13    # roundoff margin of the dual bound, per unit of the matrices' entries
-BARRIER_START = 1.0      # weight t of the objective against the barrier at the first centering
+BARRIER_START = 10.0     # weight t of the objective against the barrier at the first centering
 BARRIER_GROWTH = 30.0    # factor on t after each centering
 BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER_NU / t of E_R
 CENTERING_TOL = 1e-10    # centered once the Newton decrement is below this share of the value
-ROUGH_CENTERING = 1e-2   # ... or below this, at a t where the certificate does not run
+ROUGH_CENTERING = 1e-2   # ... or below this before the certificate's t, and at its first run
 LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of descent
 STALL_SHRINK = 0.5       # a certificate narrows the best E_R gap if it takes it below this share
 
@@ -338,15 +338,21 @@ class _Point:
         return self
 
     def newton(self, t):
-        """Barrier value t f - logdet, Newton step and Newton decrement at weight t, and the
-        central path's tangent dx/dt = -(t H_f + H_phi)^-1 grad f from the same solve.  A singular
-        Hessian (the roundoff floor) gives NaN steps, which the line search rejects."""
-        grad, hess = t * self.grad[0] + self.grad[1], t * self.hess[0] + self.hess[1]
+        """Barrier value t f - logdet, Newton step and Newton decrement at weight t."""
+        grad = t * self.grad[0] + self.grad[1]
+        step = self._solve(t, -grad)
+        return t * self.f - self.logdet, step, -float(grad @ step)
+
+    def tangent(self, t):
+        """The central path's tangent dx/dt = -(t H_f + H_phi)^-1 grad f at weight t."""
+        return self._solve(t, -self.grad[0])
+
+    def _solve(self, t, rhs):
+        """(t H_f + H_phi)^-1 rhs, or NaNs (which the line search rejects) if it is singular."""
         try:
-            step, tangent = np.linalg.solve(hess, -np.array((grad, self.grad[0])).T).T
+            return np.linalg.solve(t * self.hess[0] + self.hess[1], rhs)
         except np.linalg.LinAlgError:
-            step = tangent = np.full(15, math.nan)
-        return t * self.f - self.logdet, step, -float(grad @ step), tangent
+            return np.full(15, math.nan)
 
     def step_sizes(self, step):
         """The line search's sizes 1, 1/2, ... less those at which a diagonal entry of the trial
@@ -437,27 +443,34 @@ def _certify(point, t, config, iterations, best):
 def er_numeric(w, config=None):
     """Proved interval [lower, value] on the relative entropy of entanglement of w, in bits.
 
-    PPT states exit at their exact product decomposition (lower 0, no iteration) and pure states
-    at their Schmidt terms (lower hashing_distillable(w), E_R there; one iteration, converged or
-    not).  Otherwise a path-following barrier method minimizes t S(W || sigma) - ln det sigma
-    - ln det sigma^Gamma over the Pauli coordinates of sigma, from sigma = I/4.  t runs up to
-    t_star = BARRIER_NU / gap_tol by factors of BARRIER_GROWTH, from the first at least
-    BARRIER_START, then grows by BARRIER_GROWTH; at each growth from t to t' the first step is
+    PPT states (lambda_min(W^Gamma) >= -PPT_TOL) exit at sigma = W, lifted to PPT by I/4 if
+    need be (lower 0, no iteration), and pure states at their Schmidt terms (lower
+    hashing_distillable(w), E_R there; one iteration, converged or not).  Otherwise a
+    path-following barrier method minimizes t S(W || sigma) - ln det sigma - ln det sigma^Gamma
+    over the Pauli coordinates of sigma, from sigma = I/4.  t runs up to t_star = BARRIER_NU /
+    gap_tol by factors of BARRIER_GROWTH, from the first at least BARRIER_START (or t_star
+    alone), then grows by BARRIER_GROWTH; at each growth from t to t' the first step is
     t (1 - t / t') dx/dt, the central path's tangent scaled for a path x(t) ~ x* + c / t, with a
     Newton step at t' in its place if no size of it descends.  Each step is one iteration against
-    config.max_iter.  Before t_star, a Newton decrement of ROUGH_CENTERING centers; from t_star
-    on, each point centered to CENTERING_TOL goes to _certify, which keeps the largest lower and
-    the smallest value (with its sigma, in the PPT interior) so far.  The solve returns once
-    value - lower <= gap_tol, or once two certificates in a row fail to bring the gap below
-    STALL_SHRINK of its best so far (the roundoff floor), the budget is spent or no step
-    descends.  Deterministic.
+    config.max_iter.  A Newton decrement of ROUGH_CENTERING centers before t_star.  From t_star
+    on, the first point at each t whose decrement is at most ROUGH_CENTERING, or else at most
+    CENTERING_TOL max(1, |value|), goes to _certify, which keeps the largest lower and the
+    smallest value (with its sigma, in the PPT interior) so far; unless that is within gap_tol,
+    a point centered to the latter certifies again.  The solve returns once value - lower <=
+    gap_tol, or once two such tight certificates in a row fail to bring the gap below
+    STALL_SHRINK of its best at the growth before (the roundoff floor), the budget is spent or
+    no step descends.  Deterministic.
     """
     config = check_instance(ErConfig() if config is None else config, ErConfig, "E_R config")
     w = validate_state(w)
     objective = _Objective(w)
 
-    if is_ppt(w):
-        sigma = product_decomposition(w).state()
+    least = float(np.linalg.eigvalsh(partial_transpose(w))[0])  # entanglement.is_ppt's test
+    if least >= -PPT_TOL:
+        # W, or (W + lift I) / (1 + 4 lift) with lambda_min(sigma^Gamma) = EIGEN_KEEP_TOL (a lift
+        # to 0 rounds below it half the time), whose S(W || sigma) <= log2(1 + 4 lift)
+        lift = EIGEN_KEEP_TOL - least
+        sigma = w if least >= 0.0 else _MIXER + (w - _MIXER) / (1.0 + 4.0 * lift)
         estimate = _estimate(objective.value(sigma), 0.0, sigma, 0, config)
         if estimate.value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
             return estimate
@@ -474,30 +487,36 @@ def er_numeric(w, config=None):
     t_star, rounds = min(BARRIER_NU / config.gap_tol, np.finfo(float).max), 0
     while t_star / BARRIER_GROWTH ** rounds >= BARRIER_GROWTH * BARRIER_START:
         rounds += 1
-    iterations, t, best, stalls = 0, t_star / BARRIER_GROWTH ** rounds, None, 0
+    t, best, last = t_star / BARRIER_GROWTH ** rounds, None, None
+    iterations, stalls, due = 0, 0, True  # due: the rough certificate is still to run at this t
     point = _Point(np.zeros(15), objective).differentiate()  # I/4
     while iterations < config.max_iter:
-        value, step, decrement, tangent = point.newton(t)
+        value, step, decrement = point.newton(t)
         steps = [(value, step, decrement)]
-        # the certificate runs from t_star, and only its point needs tight centering; before it,
-        # a rough one keeps the iterate on path
-        certify = t >= t_star
-        if not decrement > (CENTERING_TOL * max(1.0, abs(value)) if certify else ROUGH_CENTERING):
+        # from t_star, the first rough center at each t certifies (its gap is near BARRIER_NU / t);
+        # if that fails, a tight one (the roundoff of value at large t) certifies, to stall or grow
+        certify, tight = t >= t_star, CENTERING_TOL * max(1.0, abs(value))
+        if certify and due and tight < decrement <= ROUGH_CENTERING:
+            due, best = False, _certify(point, t, config, iterations, best)
+            if best.converged:
+                return best
+        if not decrement > (tight if certify else ROUGH_CENTERING):
             if certify:
-                best, last = _certify(point, t, config, iterations, best), best
+                best = _certify(point, t, config, iterations, best)
                 stalls = 0 if last is None or best.gap < STALL_SHRINK * last.gap else stalls + 1
                 if best.converged or stalls == 2:
                     return best
+            last, due = best, True
             rounds -= 1
             last_t, t = t, t_star / BARRIER_GROWTH ** rounds
             # the tangent predicts the new center on a path x(t) ~ x* + c / t; a Newton step at
             # the new t (None: solved only if needed) takes over if no size of it descends
-            predicted = last_t * (1.0 - last_t / t) * tangent
+            predicted = last_t * (1.0 - last_t / t) * point.tangent(last_t)
             grad = t * point.grad[0] + point.grad[1]
             steps = [(t * point.f - point.logdet, predicted, -float(grad @ predicted)), None]
         iterations += 1
         for candidate in steps:
-            moved = point.search(t, *(candidate or point.newton(t)[:3]), objective)
+            moved = point.search(t, *(candidate or point.newton(t)), objective)
             if moved is not None:
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma

@@ -30,9 +30,12 @@ from densecap.separable import (
     BARRIER_GROWTH,
     BARRIER_NU,
     BARRIER_START,
+    CENTERING_TOL,
     DUAL_ROUNDOFF,
     DUAL_STEPS,
+    PPT_EXIT_TOL,
     REG_EPS,
+    ROUGH_CENTERING,
     ErConfig,
     SeparableAnsatz,
     _Objective,
@@ -215,8 +218,21 @@ class TestErNumeric:
         assert estimate.iterations == 0
         assert not estimate.converged
 
+    def test_ppt_exit_lifts_w_to_ppt(self):
+        # lambda_min(W^Gamma) = -c: PPT within PPT_TOL, so sigma is W mixed with a share of I/4
+        # that makes sigma^Gamma PSD as computed (a lift to exactly 0 rounds below it)
+        w_state = bell_diagonal([0.5 + 0.5e-10, 0.5 - 0.5e-10, 0.0, 0.0])
+        estimate = er_numeric(w_state)
+        assert estimate.iterations == 0 and estimate.lower == 0.0
+        assert np.linalg.eigvalsh(partial_transpose(estimate.sigma))[0] >= 0.0
+        assert np.linalg.eigvalsh(estimate.sigma)[0] >= 0.0
+        assert 0.0 < estimate.value <= PPT_EXIT_TOL and estimate.converged
+        assert np.abs(estimate.sigma - w_state).max() <= 1e-9
+        # with W^Gamma PSD, sigma is W itself
+        assert np.array_equal(er_numeric(werner(0.3)).sigma, werner(0.3))
+
     def test_ppt_exit_honours_gap_tol(self):
-        # exact decomposition scores 7.2e-13 here: above a 1e-13 gap_tol, so not converged,
+        # sigma = W scores 7.2e-13 here (REG_EPS): above a 1e-13 gap_tol, so not converged,
         # and a barrier solve would not narrow it, so the exit still takes no iteration
         estimate = er_numeric(bell_diagonal([0.5, 0.5, 0.0, 0.0]), ErConfig(gap_tol=1e-13))
         assert estimate.iterations == 0 and estimate.lower == 0.0
@@ -527,16 +543,18 @@ class TestReportedGap:
             assert estimate.lower <= entropy_of_entanglement(w_state) <= estimate.value
 
     def test_ppt_test_runs_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(separable, "is_ppt", lambda rho: calls.append(1) or is_ppt(rho))
-        er_numeric(werner(0.3), FAST)
-        er_numeric(werner(0.9), FAST)
-        assert len(calls) == 2
+        # one spectrum of W^Gamma per solve, read by the PPT test and by the PPT exit's sigma
+        calls, real = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.array(a)) or real(a))
+        for w_state in (werner(0.3), werner(0.9)):
+            calls.clear()
+            er_numeric(w_state, FAST)
+            assert sum(np.array_equal(a, partial_transpose(w_state)) for a in calls) == 1
 
     def test_tight_gap_tol_keeps_the_best_interval_and_stops_at_the_floor(self, monkeypatch):
-        # at gap_tol 1e-10 the aimed t = 8e10 certifies before the roundoff floor, and the 3
-        # unconverged E2E-2 states stop at gaps of 1.6e-10 to 3.1e-10 by t = 2.16e15, after 868
-        # steps for the 50 with 47 converged; without the stall rule each spent all 1,500 steps
+        # at gap_tol 1e-10 the aimed t = 8e10 certifies before the roundoff floor, and the 2
+        # unconverged E2E-2 states stop at gaps of 2.3e-10 and 2.4e-10 by t = 2.16e15, after 831
+        # steps for the 50 with 48 converged; without the stall rule each spent all 1,500 steps
         certificates, real = [], separable._certify
 
         def certify(point, t, config, iterations, best):
@@ -554,7 +572,7 @@ class TestReportedGap:
                 top = min(certificates, key=lambda c: c.value)
                 assert estimate.value == top.value and np.array_equal(estimate.sigma, top.sigma)
                 assert estimate.gap <= min(c.gap for c in certificates)
-        assert steps <= 1000 and converged >= 45  # 868 and 47, with a margin for roundoff
+        assert steps <= 1000 and converged >= 45  # 831 and 48, with a margin for roundoff
         # E2E-2 state 1 at gap_tol 1e-12 with 30 steps: the certificate after the spent budget, at
         # a point one step past t = 8e12, has a lower 1e-11 below the one before it, whose lower
         # the solve keeps
@@ -568,6 +586,14 @@ class TestEstimateSigma:
     # the barrier certificate (E2E-2 state 1), the PPT exit and the pure-state (Schmidt) exit
     EXITS = {"barrier": lambda: campaign_states(2, 7)[1][0], "ppt": lambda: werner(0.3),
              "schmidt": lambda: pure_schmidt(0.8, 0.6)}
+
+    def test_ppt_exit_makes_no_product_decomposition(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(separable, "product_decomposition",
+                            lambda rho: calls.append(1) or product_decomposition(rho))
+        for w_state in (self.EXITS["ppt"](), bell_diagonal([0.5 + 0.5e-10, 0.5 - 0.5e-10, 0, 0])):
+            estimate = er_numeric(w_state)
+            assert estimate.converged and estimate.iterations == 0 and not calls
 
     def test_entangled_solve_makes_no_product_decomposition(self, monkeypatch):
         calls = []
@@ -667,7 +693,7 @@ class TestPointRecord:
 def center(point, t, objective):
     """Newton from point at weight t until the decrement is at most 1e-12 of the barrier value."""
     while True:
-        value, step, decrement, _ = point.newton(t)
+        value, step, decrement = point.newton(t)
         if decrement <= 1e-12 * max(1.0, abs(value)):
             return point
         point = point.search(t, value, step, decrement, objective)
@@ -677,8 +703,9 @@ class TestBarrierPath:
     @pytest.mark.parametrize("gap_tol", [8.0, 3.0, 1e-2, 3e-5, 1e-5, 1e-8, 1e-12])
     def test_first_certificate_runs_at_the_aimed_t(self, gap_tol, monkeypatch):
         # the schedule ends on BARRIER_NU / gap_tol, the least t whose bound is within gap_tol,
-        # and runs up to it by factors of BARRIER_GROWTH from at least BARRIER_START; products
-        # of growths from BARRIER_START would certify up to BARRIER_GROWTH times later
+        # and runs up to it by factors of BARRIER_GROWTH from at least BARRIER_START (or starts
+        # there, at gap_tol 8 and 3); products of growths from BARRIER_START would certify up to
+        # BARRIER_GROWTH times later
         ts, certified, real_newton, real_certify = [], [], _Point.newton, separable._certify
         monkeypatch.setattr(_Point, "newton", lambda self, t: ts.append(t) or real_newton(self, t))
         monkeypatch.setattr(separable, "_certify", lambda point, t, *rest: (
@@ -688,7 +715,7 @@ class TestBarrierPath:
         assert certified and certified[0] == pytest.approx(aimed, rel=1e-12)
         assert not certified[0] >= 0.5 * BARRIER_GROWTH * aimed
         schedule = sorted(set(ts))
-        assert BARRIER_START <= schedule[0] < BARRIER_GROWTH * BARRIER_START
+        assert min(BARRIER_START, aimed) <= schedule[0] < BARRIER_GROWTH * BARRIER_START
         assert np.allclose(np.diff(np.log(schedule)), math.log(BARRIER_GROWTH), rtol=1e-12)
         assert estimate.converged == (estimate.gap <= gap_tol)
 
@@ -700,18 +727,52 @@ class TestBarrierPath:
         t, point = 1.0, _Point(np.zeros(15), objective).differentiate()
         point = center(point, t, objective)
         for _ in range(4):
-            tangent, grown = point.newton(t)[3], BARRIER_GROWTH * t
+            tangent, grown = point.tangent(t), BARRIER_GROWTH * t
             predicted = point.x + t * (1.0 - t / grown) * tangent
             target = center(point, grown, objective)
             assert np.linalg.norm(predicted - target.x) < np.linalg.norm(point.x - target.x)
             t, point = grown, target
 
+    def test_rough_certificate_runs_first_at_the_aimed_t(self, monkeypatch):
+        # from t_star the first roughly centered point certifies, and its decrement is above the
+        # tight test unless both held at once (E2E-1 state 1, E2E-2 state 14); of E2E-1's first
+        # 40 states and E2E-2's 50, only three center on tightly to certify again, still at
+        # t_star, and no solve goes beyond it
+        certificates, real = [], separable._certify
+
+        def certify(point, t, *rest):
+            value, _, decrement = point.newton(t)
+            assert decrement <= max(ROUGH_CENTERING, CENTERING_TOL * abs(value))
+            certificates.append((t, decrement > CENTERING_TOL * max(1.0, abs(value))))
+            return real(point, t, *rest)
+
+        monkeypatch.setattr(separable, "_certify", certify)
+        kinds = {}
+        for seed, count, config in ((2024, 40, E2E1), (7, 50, ErConfig())):
+            for index, (w_state, _) in enumerate(campaign_states(count, seed)):
+                certificates.clear()
+                assert er_numeric(w_state, config).converged
+                aimed = BARRIER_NU / config.gap_tol
+                assert all(t == pytest.approx(aimed, rel=1e-12) for t, _ in certificates)
+                kinds.setdefault(tuple(rough for _, rough in certificates), []).append((seed, index))
+        assert set(kinds) == {(), (True,), (False,), (True, False)}
+        assert kinds[(False,)] == [(2024, 1), (7, 14)]
+        assert kinds[(True, False)] == [(2024, 9), (7, 5), (7, 33)]
+
+    def test_step_budgets(self):
+        # campaign's 16 states (E2E-1's first) took 155 steps before the rough certificate and the
+        # start at BARRIER_START = 10, and take 133.  At gap_tol 1e-12 a decrement of
+        # ROUGH_CENTERING is below the roundoff of the barrier value: E2E-2 state 1 takes 31 steps,
+        # and a first certificate that waited for that decrement spent all 1,500
+        states = campaign_states(16, 2024)
+        assert sum(er_numeric(w_state, E2E1).iterations for w_state, _ in states) <= 140
+        assert er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=1e-12)).iterations <= 40
+
     def test_nan_tangent_falls_back_to_newton(self, monkeypatch):
         # a NaN predictor is rejected without a step, and a Newton step at the new t moves on
         states = [campaign_states(index + 1, 7)[index][0] for index in (1, 3, 5, 6, 7)]
         predicted = [er_numeric(w_state) for w_state in states]
-        real, nan = _Point.newton, np.full(15, math.nan)
-        monkeypatch.setattr(_Point, "newton", lambda self, t: (*real(self, t)[:3], nan))
+        monkeypatch.setattr(_Point, "tangent", lambda self, t: np.full(15, math.nan))
         fallback = [er_numeric(w_state) for w_state in states]
         assert all(estimate.converged for estimate in fallback)
         assert sum(e.iterations for e in predicted) < sum(e.iterations for e in fallback)
@@ -776,7 +837,7 @@ class TestDualSearch:
         estimates = [er_numeric(w_state, E2E1) for w_state, _ in campaign_states(40, 2024)]
         estimates += [er_numeric(w_state) for w_state, _ in campaign_states(50, 7)]
         monkeypatch.undo()
-        assert len(pencils) == 59
+        assert len(pencils) == 62
         assert all(estimate.lower <= estimate.value for estimate in estimates)
         for grad, dual, floor, probes in pencils:
             assert probes <= self.MAX_PROBES
