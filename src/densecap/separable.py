@@ -3,11 +3,11 @@
 For two qubits the separable states are exactly the PPT states (Horodecki,
 Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
 {sigma > 0, sigma^Gamma > 0}: a smooth convex problem in the 15 Pauli
-coordinates of sigma, solved by a path-following log-det barrier method
-with Newton centering steps, rough ones unless a certificate at a rough center
-fails, each point evaluated once (a _Point).  The final sigma is PPT, so the value
-there bounds E_R from above, and the barrier's dual matrix at the same point bounds it
-from below (_certify).  The estimate keeps sigma; its argmin, derived from sigma when
+coordinates of sigma, solved by a path-following log-det barrier method from its center on
+the ray from I/4 to W (_ray_center), with Newton centering steps, rough ones unless a
+certificate at a rough center fails, each point evaluated once (a _Point).  The final sigma is
+PPT, so the value there bounds E_R from above, and the barrier's dual matrix at the same point
+bounds it from below (_certify).  The estimate keeps sigma; its argmin, derived from sigma when
 read, writes it as <= 4 product pure states (a SeparableAnsatz).
 
 PPT states exit at W, lifted to PPT by a roundoff share of I/4 if need be (lower bound
@@ -30,7 +30,6 @@ from .states import check_instance, check_integer, check_real, validate_state
 LN2 = math.log(2.0)
 REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
-PPT_EXIT_TOL = 1e-9      # PPT states whose sigma (W, lifted to PPT) scores below this exit at once
 SCHMIDT_ROUNDOFF = 1e-13  # roundoff margin of the pure-state exit's lower bound (see er_numeric)
 DUAL_STEPS = 48          # most probes of the dual multiplier s (see _dual_floor)
 DUAL_KINK = 1e-8         # lambda_min's gap below which it is a kink, per unit of the matrices' entries
@@ -220,8 +219,8 @@ class _Objective:
     mixing keeps rho's eigenvectors and maps each eigenvalue mu to (mu + REG_EPS/4) / (1 + REG_EPS).
     """
 
-    def __init__(self, w):
-        self.w, self.spectrum = w, np.linalg.eigvalsh(w)
+    def __init__(self, w, spectrum=None):
+        self.w, self.spectrum = w, np.linalg.eigvalsh(w) if spectrum is None else spectrum
         self.const = -entropy_of_eigenvalues(self.spectrum)  # Tr W log2 W
 
     def at(self, mu, u):
@@ -364,12 +363,36 @@ class _Point:
     def search(self, t, value, step, decrement, objective):
         """Backtracking from this point along step at weight t (inf outside the PPT interior): the
         first trial with Armijo descent, differentiated, or None if none descends (as none does
-        when the decrement is not positive, or is NaN)."""
+        when the decrement is not positive, or is NaN) by more than the roundoff of value."""
+        noise = 4.0 * math.ulp(value)
         for size in self.step_sizes(step) if decrement > 0.0 else ():
+            if 0.25 * size * decrement <= noise:
+                break
             trial = _Point(self.x + size * step, objective)
             if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
                 return trial.differentiate()
         return None
+
+
+def _ray_center(spectra, t):
+    """The s in (0, s_max) minimizing phi(s) = t f(sigma_s) - ln det sigma_s - ln det sigma_s^Gamma
+    on the ray sigma_s = I/4 + s (W - I/4), which keeps W's eigenvectors (sigma_s^Gamma keeps
+    W^Gamma's): over both ascending spectra, d = lambda - 1/4, r = d / (1/4 + s d) and k = t lambda
+    / ln 2 + 1 on W's, 1 on W^Gamma's give phi' = -sum k r (< 0 at 0), phi'' = sum k r^2 and s_max,
+    the least -1 / (4 d).  Bracketed Newton in floats, to phi'^2 <= CENTERING_TOL phi''."""
+    w, g = spectra.tolist()
+    terms = [(t * x / LN2 + 1.0, x - 0.25) for x in w] + [(1.0, x - 0.25) for x in g]
+    lo, hi, s = 0.0, min(-0.25 / d for _, d in terms if d < 0.0), 0.0
+    while True:
+        ratios = [(k, d / (0.25 + s * d)) for k, d in terms]
+        slope, curve = -sum(k * r for k, r in ratios), sum(k * r * r for k, r in ratios)
+        if slope * slope <= CENTERING_TOL * curve:
+            return s
+        lo, hi = (s, hi) if slope < 0.0 else (lo, s)
+        newton = s - slope / curve
+        s = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if s in (lo, hi):
+            return s
 
 
 def _dual_floor(grad, dual):
@@ -443,38 +466,37 @@ def _certify(point, t, config, iterations, best):
 def er_numeric(w, config=None):
     """Proved interval [lower, value] on the relative entropy of entanglement of w, in bits.
 
-    PPT states (lambda_min(W^Gamma) >= -PPT_TOL) exit at sigma = W, lifted to PPT by I/4 if
-    need be (lower 0, no iteration), and pure states at their Schmidt terms (lower
-    hashing_distillable(w), E_R there; one iteration, converged or not).  Otherwise a
-    path-following barrier method minimizes t S(W || sigma) - ln det sigma - ln det sigma^Gamma
-    over the Pauli coordinates of sigma, from sigma = I/4.  t runs up to t_star = BARRIER_NU /
-    gap_tol by factors of BARRIER_GROWTH, from the first at least BARRIER_START (or t_star
-    alone), then grows by BARRIER_GROWTH; at each growth from t to t' the first step is
-    t (1 - t / t') dx/dt, the central path's tangent scaled for a path x(t) ~ x* + c / t, with a
-    Newton step at t' in its place if no size of it descends.  Each step is one iteration against
-    config.max_iter.  A Newton decrement of ROUGH_CENTERING centers before t_star.  From t_star
-    on, the first point at each t whose decrement is at most ROUGH_CENTERING, or else at most
-    CENTERING_TOL max(1, |value|), goes to _certify, which keeps the largest lower and the
-    smallest value (with its sigma, in the PPT interior) so far; unless that is within gap_tol,
-    a point centered to the latter certifies again.  The solve returns once value - lower <=
-    gap_tol, or once two such tight certificates in a row fail to bring the gap below
-    STALL_SHRINK of its best at the growth before (the roundoff floor), the budget is spent or
-    no step descends.  Deterministic.
+    PPT states (lambda_min(W^Gamma) >= -PPT_TOL) exit at sigma = W, lifted to PPT by I/4 if need be
+    (lower 0, no iteration), and pure states at their Schmidt terms (lower hashing_distillable(w),
+    E_R there; one iteration, converged or not).  Otherwise a path-following barrier method
+    minimizes t S(W || sigma) - ln det sigma - ln det sigma^Gamma over the Pauli coordinates of
+    sigma, from its minimizer on the ray from I/4 to W at the first t (_ray_center; I/4 if that is
+    not PPT as computed).  t runs up to t_star = BARRIER_NU / gap_tol by factors of BARRIER_GROWTH,
+    from the first at least BARRIER_START (or t_star alone), then grows by BARRIER_GROWTH; at each
+    growth from t to t' the first step is t (1 - t / t') dx/dt, the central path's tangent scaled
+    for a path x(t) ~ x* + c / t, with a Newton step at t' in its place if no size of it descends.
+    Each step is one iteration against config.max_iter.  A Newton decrement of ROUGH_CENTERING
+    centers before t_star.  From t_star on, the first point at each t whose decrement is at most
+    ROUGH_CENTERING, or else at most CENTERING_TOL max(1, |value|), goes to _certify, which keeps
+    the largest lower and the smallest value (with its sigma, in the PPT interior) so far; unless
+    that is within gap_tol, a point centered to the latter certifies again.  The solve returns once
+    value - lower <= gap_tol, or once two such tight certificates in a row fail to bring the gap
+    below STALL_SHRINK of its best at the growth before (the roundoff floor), the budget is spent or
+    no step descends beyond roundoff.  Deterministic.
     """
     config = check_instance(ErConfig() if config is None else config, ErConfig, "E_R config")
     w = validate_state(w)
-    objective = _Objective(w)
+    spectra = np.linalg.eigvalsh(np.stack([w, partial_transpose(w)]))  # W's and W^Gamma's
+    objective = _Objective(w, spectra[0])
 
-    least = float(np.linalg.eigvalsh(partial_transpose(w))[0])  # entanglement.is_ppt's test
+    least = float(spectra[1, 0])  # entanglement.is_ppt's test
     if least >= -PPT_TOL:
         # W, or (W + lift I) / (1 + 4 lift) with lambda_min(sigma^Gamma) = EIGEN_KEEP_TOL (a lift
-        # to 0 rounds below it half the time), whose S(W || sigma) <= log2(1 + 4 lift)
+        # to 0 rounds below it half the time), whose S(W || sigma) <= log2(1 + 4 lift) < 5.8e-10
         lift = EIGEN_KEEP_TOL - least
         sigma = w if least >= 0.0 else _MIXER + (w - _MIXER) / (1.0 + 4.0 * lift)
-        estimate = _estimate(objective.value(sigma), 0.0, sigma, 0, config)
-        if estimate.value <= PPT_EXIT_TOL:  # E_R = 0; a longer solve would not narrow [0, value]
-            return estimate
-    elif config.max_iter > 0 and objective.spectrum[-2] <= EIGEN_KEEP_TOL:
+        return _estimate(objective.value(sigma), 0.0, sigma, 0, config)
+    if config.max_iter > 0 and objective.spectrum[-2] <= EIGEN_KEEP_TOL:
         # the hashing yield bounds E_R from below and equals it on pure states, so the gap is
         # roundoff, which no barrier solve could narrow: the exit stands whatever gap_tol is
         sigma = _schmidt_mixture(w).state()
@@ -489,7 +511,10 @@ def er_numeric(w, config=None):
         rounds += 1
     t, best, last = t_star / BARRIER_GROWTH ** rounds, None, None
     iterations, stalls, due = 0, 0, True  # due: the rough certificate is still to run at this t
-    point = _Point(np.zeros(15), objective).differentiate()  # I/4
+    # the ray's center at t (x_w: W's Pauli coordinates Tr[W P_k]), or I/4 if it is not PPT
+    x_w = (PAULI_PRODUCTS.reshape(15, 16).conj() @ w.ravel()).real
+    point = _Point(_ray_center(spectra, t) * x_w, objective)
+    point = (point if point.f < math.inf else _Point(np.zeros(15), objective)).differentiate()
     while iterations < config.max_iter:
         value, step, decrement = point.newton(t)
         steps = [(value, step, decrement)]

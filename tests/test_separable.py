@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import densecap.separable as separable
@@ -20,9 +20,11 @@ from densecap import (
     pure_schmidt,
     random_state,
     relative_entropy,
+    to_pauli,
     validate_state,
     werner,
 )
+from densecap.entanglement import PPT_TOL
 from densecap.errors import OutOfRange
 from densecap.linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
@@ -33,7 +35,7 @@ from densecap.separable import (
     CENTERING_TOL,
     DUAL_ROUNDOFF,
     DUAL_STEPS,
-    PPT_EXIT_TOL,
+    EIGEN_KEEP_TOL,
     REG_EPS,
     ROUGH_CENTERING,
     ErConfig,
@@ -226,7 +228,9 @@ class TestErNumeric:
         assert estimate.iterations == 0 and estimate.lower == 0.0
         assert np.linalg.eigvalsh(partial_transpose(estimate.sigma))[0] >= 0.0
         assert np.linalg.eigvalsh(estimate.sigma)[0] >= 0.0
-        assert 0.0 < estimate.value <= PPT_EXIT_TOL and estimate.converged
+        # S(W || sigma) <= log2(1 + 4 lift) with lift at most PPT_TOL + EIGEN_KEEP_TOL
+        assert 0.0 < estimate.value <= math.log2(1.0 + 4.0 * (PPT_TOL + EIGEN_KEEP_TOL))
+        assert estimate.converged
         assert np.abs(estimate.sigma - w_state).max() <= 1e-9
         # with W^Gamma PSD, sigma is W itself
         assert np.array_equal(er_numeric(werner(0.3)).sigma, werner(0.3))
@@ -543,18 +547,22 @@ class TestReportedGap:
             assert estimate.lower <= entropy_of_entanglement(w_state) <= estimate.value
 
     def test_ppt_test_runs_once(self, monkeypatch):
-        # one spectrum of W^Gamma per solve, read by the PPT test and by the PPT exit's sigma
+        # one spectrum of W^Gamma per solve, stacked with W's, read by the PPT test, the PPT
+        # exit's sigma, the objective and the ray start
         calls, real = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.array(a)) or real(a))
         for w_state in (werner(0.3), werner(0.9)):
             calls.clear()
             er_numeric(w_state, FAST)
-            assert sum(np.array_equal(a, partial_transpose(w_state)) for a in calls) == 1
+            w_gamma = partial_transpose(w_state)
+            (stacked,) = [a for a in calls
+                          if any(np.array_equal(block, w_gamma) for block in a.reshape(-1, 4, 4))]
+            assert np.array_equal(stacked, np.stack([w_state, w_gamma]))
 
     def test_tight_gap_tol_keeps_the_best_interval_and_stops_at_the_floor(self, monkeypatch):
-        # at gap_tol 1e-10 the aimed t = 8e10 certifies before the roundoff floor, and the 2
-        # unconverged E2E-2 states stop at gaps of 2.3e-10 and 2.4e-10 by t = 2.16e15, after 831
-        # steps for the 50 with 48 converged; without the stall rule each spent all 1,500 steps
+        # at gap_tol 1e-10 the aimed t = 8e10 certifies before the roundoff floor, and the 3
+        # unconverged E2E-2 states stop at gaps of 2.1e-10 to 3.1e-10 by t = 2.16e15, after 742
+        # steps for the 50 with 47 converged; without the stall rule each spent all 1,500 steps
         certificates, real = [], separable._certify
 
         def certify(point, t, config, iterations, best):
@@ -572,12 +580,12 @@ class TestReportedGap:
                 top = min(certificates, key=lambda c: c.value)
                 assert estimate.value == top.value and np.array_equal(estimate.sigma, top.sigma)
                 assert estimate.gap <= min(c.gap for c in certificates)
-        assert steps <= 1000 and converged >= 45  # 831 and 48, with a margin for roundoff
-        # E2E-2 state 1 at gap_tol 1e-12 with 30 steps: the certificate after the spent budget, at
+        assert steps <= 1000 and converged >= 45  # 742 and 47, with a margin for roundoff
+        # E2E-2 state 1 at gap_tol 1e-12 with 29 steps: the certificate after the spent budget, at
         # a point one step past t = 8e12, has a lower 1e-11 below the one before it, whose lower
         # the solve keeps
         certificates.clear()
-        estimate = er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=1e-12, max_iter=30))
+        estimate = er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=1e-12, max_iter=29))
         assert len(certificates) == 2 and certificates[1].lower < certificates[0].lower
         assert estimate.lower == certificates[0].lower and estimate.gap < certificates[1].gap
 
@@ -735,9 +743,9 @@ class TestBarrierPath:
 
     def test_rough_certificate_runs_first_at_the_aimed_t(self, monkeypatch):
         # from t_star the first roughly centered point certifies, and its decrement is above the
-        # tight test unless both held at once (E2E-1 state 1, E2E-2 state 14); of E2E-1's first
-        # 40 states and E2E-2's 50, only three center on tightly to certify again, still at
-        # t_star, and no solve goes beyond it
+        # tight test unless both held at once (E2E-2 state 14); of E2E-1's first 40 states and
+        # E2E-2's 50, only four center on tightly to certify again, still at t_star, and no
+        # solve goes beyond it
         certificates, real = [], separable._certify
 
         def certify(point, t, *rest):
@@ -756,17 +764,27 @@ class TestBarrierPath:
                 assert all(t == pytest.approx(aimed, rel=1e-12) for t, _ in certificates)
                 kinds.setdefault(tuple(rough for _, rough in certificates), []).append((seed, index))
         assert set(kinds) == {(), (True,), (False,), (True, False)}
-        assert kinds[(False,)] == [(2024, 1), (7, 14)]
-        assert kinds[(True, False)] == [(2024, 9), (7, 5), (7, 33)]
+        assert kinds[(False,)] == [(7, 14)]
+        assert kinds[(True, False)] == [(2024, 9), (7, 1), (7, 5), (7, 33)]
 
     def test_step_budgets(self):
         # campaign's 16 states (E2E-1's first) took 155 steps before the rough certificate and the
-        # start at BARRIER_START = 10, and take 133.  At gap_tol 1e-12 a decrement of
-        # ROUGH_CENTERING is below the roundoff of the barrier value: E2E-2 state 1 takes 31 steps,
-        # and a first certificate that waited for that decrement spent all 1,500
+        # start at BARRIER_START = 10, 133 before the start on the ray from I/4 to W, and take 107.
+        # At gap_tol 1e-12 a decrement of ROUGH_CENTERING is below the roundoff of the barrier
+        # value: E2E-2 state 1 takes 30 steps, and a first certificate that waited for that
+        # decrement spent all 1,500
         states = campaign_states(16, 2024)
-        assert sum(er_numeric(w_state, E2E1).iterations for w_state, _ in states) <= 140
+        assert sum(er_numeric(w_state, E2E1).iterations for w_state, _ in states) <= 115
         assert er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=1e-12)).iterations <= 40
+
+    def test_line_search_stops_at_the_roundoff_floor(self):
+        # at gap_tol 1e-12, E2E-2 state 13 started from I/4 and state 6 started from the ray
+        # center went on centering at t = 2.16e17, where Armijo decreases below the barrier value's
+        # roundoff are noise: accepting them spent all 1,500 steps on each, and the solves now end
+        # after 32 and 37
+        for index in (6, 13):
+            estimate = er_numeric(campaign_states(index + 1, 7)[index][0], ErConfig(gap_tol=1e-12))
+            assert estimate.iterations <= 60 and estimate.lower <= estimate.value
 
     def test_nan_tangent_falls_back_to_newton(self, monkeypatch):
         # a NaN predictor is rejected without a step, and a Newton step at the new t moves on
@@ -776,6 +794,72 @@ class TestBarrierPath:
         fallback = [er_numeric(w_state) for w_state in states]
         assert all(estimate.converged for estimate in fallback)
         assert sum(e.iterations for e in predicted) < sum(e.iterations for e in fallback)
+
+
+def pauli_coordinates(w_state):
+    """x with w_state = I/4 + sum_k x_k P_k / 4, in _BASES' order: x_k = Tr[W P_k]."""
+    dec = to_pauli(w_state)
+    return np.concatenate([dec.r, dec.s, dec.t.ravel()])
+
+
+class TestRayStart:
+    @pytest.mark.parametrize("fidelity", [0.6, 0.8, 0.95])
+    def test_werner_starts_centered(self, fidelity, monkeypatch):
+        # the solve starts at the barrier's center on the ray from I/4 to W, and the Werner
+        # center lies on that ray (twirling maps the barrier onto itself and fixes only the ray),
+        # so the first Newton decrement is the ray's own; at I/4 it is 42 to 114 here
+        firsts, real = [], _Point.newton
+
+        def newton(self, t):
+            value, step, decrement = real(self, t)
+            firsts.append((t, decrement))
+            return value, step, decrement
+
+        monkeypatch.setattr(_Point, "newton", newton)
+        w_state = werner(fidelity)
+        assert er_numeric(w_state, E2E1).converged
+        t, decrement = firsts[0]
+        assert decrement <= 1e-9
+        assert real(_Point(np.zeros(15), _Objective(w_state)).differentiate(), t)[2] > 10.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_start_is_the_ray_center(self, data):
+        # on entangled, mixed states: s* lies strictly inside [0, s_max), where sigma_s or
+        # sigma_s^Gamma turns singular, its point is in the PPT interior, and the barrier's
+        # derivatives along the ray, from the Pauli ones, meet the centering test there
+        source = data.draw(st.sampled_from(["random"] + sorted(set(FAMILIES) - {"pure_schmidt"})))
+        if source == "random":
+            seed, rank = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(2, 4))
+            w_state = random_state(seed=seed, rank=rank)
+        else:
+            count = data.draw(st.sampled_from(sorted(FAMILIES[source].forms)))
+            w_state = build_family_state(source, draw_family_params(data, source, count))
+        spectra = np.linalg.eigvalsh(np.stack([w_state, partial_transpose(w_state)]))
+        assume(spectra[1, 0] < -1e-6 and spectra[0, -2] > 1e-6)  # clearly entangled and mixed
+        t = data.draw(st.sampled_from([BARRIER_NU / 3.0, 29.6, 88.9, 280.0]))
+        s = separable._ray_center(spectra, t)
+        shifted = spectra.ravel() - 0.25
+        assert 0.0 < s < (-0.25 / shifted[shifted < 0.0]).min() < 1.0
+        direction = pauli_coordinates(w_state)
+        point = _Point(s * direction, _Objective(w_state))
+        assert np.linalg.eigvalsh(_sigmas(point.x))[:, 0].min() > EIGEN_KEEP_TOL
+        point.differentiate()
+        slope = (t * point.grad[0] + point.grad[1]) @ direction
+        curve = direction @ (t * point.hess[0] + point.hess[1]) @ direction
+        assert slope**2 <= CENTERING_TOL * curve
+
+    def test_boundary_start_falls_back_to_the_mixer(self, monkeypatch):
+        # a ray point on the PPT boundary (s = s_max) scores inf, so the solve starts at I/4
+        starts, real = [], _Point.differentiate
+        monkeypatch.setattr(_Point, "differentiate",
+                            lambda self: starts.append(self.x) or real(self))
+        monkeypatch.setattr(separable, "_ray_center", lambda spectra, t: min(
+            -0.25 / d for d in (spectra.ravel() - 0.25).tolist() if d < 0.0))
+        for index in (1, 3, 5):
+            starts.clear()
+            assert er_numeric(campaign_states(index + 1, 7)[index][0]).converged
+            assert not starts[0].any()
 
 
 def bisection_floor(grad, dual):
@@ -837,7 +921,7 @@ class TestDualSearch:
         estimates = [er_numeric(w_state, E2E1) for w_state, _ in campaign_states(40, 2024)]
         estimates += [er_numeric(w_state) for w_state, _ in campaign_states(50, 7)]
         monkeypatch.undo()
-        assert len(pencils) == 62
+        assert len(pencils) == 63
         assert all(estimate.lower <= estimate.value for estimate in estimates)
         for grad, dual, floor, probes in pencils:
             assert probes <= self.MAX_PROBES
