@@ -6,9 +6,10 @@ Phys. Lett. A 223, 1, 1996), so E_R(W) = min S(W || sigma) over
 coordinates of sigma, solved by a path-following log-det barrier method from its center on
 the ray from I/4 to W (_ray_center), with Newton centering steps, rough ones unless a
 certificate at a rough center fails, each point evaluated once (a _Point).  The final sigma is
-PPT, so the value there bounds E_R from above, and the barrier's dual matrix at the same point
-bounds it from below (_certify).  The estimate keeps sigma; its argmin, derived from sigma when
-read, writes it as <= 4 product pure states (a SeparableAnsatz).
+PPT, so the value there, with its roundoff margin (_Objective.roundoff), bounds E_R from above,
+and the barrier's dual matrix at the same point bounds it from below (_certify).  The estimate
+keeps sigma; its argmin, derived from sigma when read, writes it as <= 4 product pure states (a
+SeparableAnsatz).
 
 PPT states exit at W, lifted to PPT by a roundoff share of I/4 if need be (lower bound
 0), pure states at their Schmidt terms (lower bound the hashing yield, at most E_R and
@@ -28,7 +29,6 @@ from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
 from .states import check_instance, check_integer, check_real, validate_state
 
 LN2 = math.log(2.0)
-REG_EPS = 1e-12          # weight of I/4 mixed in before taking logs
 EIGEN_KEEP_TOL = 1e-14   # spectral weight below this is treated as zero
 SCHMIDT_ROUNDOFF = 1e-13  # roundoff margin of the pure-state exit's lower bound (see er_numeric)
 DUAL_STEPS = 48          # most probes of the dual multiplier s (see _dual_floor)
@@ -212,26 +212,40 @@ def _log_kernels(ev):
 
 
 class _Objective:
-    """S(W || rho) in bits as a function of rho, with W's spectrum.
-
-    rho is regularized by mixing in REG_EPS * I/4 before logs are taken, which keeps the
-    objective finite on rank-deficient mixtures while staying inside the separable set.  The
-    mixing keeps rho's eigenvectors and maps each eigenvalue mu to (mu + REG_EPS/4) / (1 + REG_EPS).
-    """
+    """S(W || rho) in bits as a function of rho, with W's spectrum, from logs of rho's spectrum
+    clipped at 1e-300: finite at the exits' eigenvalues 0, where W has only roundoff weight."""
 
     def __init__(self, w, spectrum=None):
         self.w, self.spectrum = w, np.linalg.eigvalsh(w) if spectrum is None else spectrum
         self.const = -entropy_of_eigenvalues(self.spectrum)  # Tr W log2 W
 
     def at(self, mu, u):
-        """(ev, wt, f) at the rho with eigendecomposition (mu, u): the regularized spectrum ev,
-        wt = U^dagger W U and f, which reads wt's diagonal."""
-        ev = np.maximum((mu + 0.25 * REG_EPS) / (1.0 + REG_EPS), 1e-300)
+        """(ev, wt, f) at the rho with eigh (mu, u): ev is mu clipped and wt = U^dagger W U."""
+        ev = np.maximum(mu, 1e-300)
         wt = u.conj().T @ self.w @ u
         return ev, wt, self.const - float(np.maximum(wt.diagonal().real, 0.0) @ np.log2(ev))
 
+    def roundoff(self, ev, wt):
+        """A margin m with f + m >= S(W || rho), f being at's value with (ev, wt).  With d = 8 eps
+        and lambda W's spectrum, m / d is the sum of
+        - |Tr W log2 W| + sum_i wt_ii |log2 ev_i|: the rounding of logs, products and sums;
+        - sum_i (min(lambda_i / d, 1) |log2 lambda_i| + 1 / ln 2) and sum_i wt_ii / (ln 2
+          max(ev_i, d)): to first order, the errors of eigvalsh and eigh, each exact for a matrix
+          within d of its own (Golub & Van Loan, Matrix Computations, 8.7), in Tr W log2 W (which
+          they raise by at most |lambda log2 lambda|) and in Tr W log2 rho.  The latter's
+          derivative U (K o wt) U^dagger, K being ln's divided differences at ev (Daleckii-Krein),
+          is PSD (ln is operator monotone, and Schur; Bhatia, Matrix Analysis, V.3), so its trace
+          norm is sum_i wt_ii / ev_i.  An ev_i below d (at the exits, an eigenvalue 0 that carries
+          roundoff weight of W) counts as d."""
+        d, lam = 8.0 * math.ulp(1.0), np.clip(self.spectrum, 1e-300, 1.0)  # d = 8 eps
+        own = float(np.minimum(lam / d, 1.0) @ np.abs(np.log2(lam))) + 4.0 / LN2  # W's spectrum
+        terms = np.abs(np.log2(ev)) + 1.0 / (LN2 * np.maximum(ev, d))
+        return d * (abs(self.const) + own + float(np.maximum(wt.diagonal().real, 0.0) @ terms))
+
     def value(self, rho):
-        return self.at(*np.linalg.eigh(rho))[2]
+        """f at rho plus its roundoff margin: an upper end on S(W || rho)."""
+        ev, wt, f = self.at(*np.linalg.eigh(rho))
+        return f + self.roundoff(ev, wt)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +275,9 @@ class ErConfig:
 class ErEstimate:
     """Proved interval [lower, value] on the relative entropy of entanglement, in bits.
 
-    value is the objective at sigma, a separable 4x4 state (see er_numeric), so it is an upper
-    bound; argmin writes sigma as <= 4 product pure states, derived from it when read.  lower
-    is a proved lower bound.  converged means gap = value - lower is at most the configured gap_tol.
+    value, the objective at sigma (a separable 4x4 state, see er_numeric) plus its roundoff margin,
+    is an upper bound and lower a proved lower bound; argmin writes sigma as <= 4 product pure
+    states, derived from it when read.  converged means gap = value - lower is at most gap_tol.
     """
 
     value: float
@@ -287,13 +301,6 @@ def _estimate(value, lower, sigma, iterations, config):
     return ErEstimate(value, sigma, value - lower <= config.gap_tol, iterations, lower)
 
 
-def _schmidt_mixture(w):
-    """Schmidt terms of a pure w at their squared coefficients: the closest
-    separable state (Vedral & Plenio, PRA 57, 1619, 1998)."""
-    u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
-    return SeparableAnsatz(sv**2 / (sv**2).sum(), product_vector(u.T, vh))
-
-
 def _sigmas(x):
     """sigma and sigma^Gamma at Pauli coordinates x, stacked."""
     return _MIXER + (x @ _BASES_FLAT).reshape(2, 4, 4)
@@ -301,14 +308,14 @@ def _sigmas(x):
 
 class _Point:
     """A barrier point from one stacked eigh (mu, u) of [sigma, sigma^Gamma]: the objective f
-    (inf unless both spectra exceed EIGEN_KEEP_TOL) with sigma's regularized spectrum ev and
-    wt = U^dagger W U, and logdet = ln det sigma + ln det sigma^Gamma.  differentiate adds grad
+    (inf unless both spectra exceed EIGEN_KEEP_TOL) with sigma's spectrum ev and wt = U^dagger W U
+    (the objective's at), and logdet = ln det sigma + ln det sigma^Gamma.  differentiate adds grad
     and hess as (objective, barrier -logdet) parts, for newton to weigh by t, and
     diag[g, k, a] = (D_gk)_aa / mu_ga, from which step_sizes rules out trials."""
 
     def __init__(self, x, objective):
-        self.x, sigmas, self.f, self.logdet = x, _sigmas(x), math.inf, 0.0
-        if np.isfinite(sigmas).all():
+        self.x, self.objective, self.f, self.logdet = x, objective, math.inf, 0.0
+        if np.isfinite(sigmas := _sigmas(x)).all():
             self.mu, self.u = np.linalg.eigh(sigmas)
             if self.mu.min() > EIGEN_KEEP_TOL:
                 self.ev, self.wt, self.f = objective.at(self.mu[0], self.u[0])
@@ -442,24 +449,23 @@ def _dual_floor(grad, dual):
 
 
 def _certify(point, t, config, iterations, best):
-    """Estimate at a differentiated point: value = f(sigma) >= E_R, sigma being PPT; given the best
-    estimate so far (None at the first), the larger lower and the smaller value (with its sigma).
+    """Estimate at a differentiated point: value = f(sigma) + roundoff >= E_R, sigma being PPT;
+    given the best estimate so far (None at the first), the larger lower and the smaller value.
 
-    G = sum_k g_k P_k / (1 + REG_EPS), from the point's Pauli gradient g, is f's gradient
-    matrix less a multiple of I (which would shift Tr[G sigma] = g.x / (1 + REG_EPS) and
-    lambda_min(G - s Z) alike).  The dual Z = Gamma[(sigma^Gamma)^-1] / t has Tr[Z tau] >= 0
-    on separable tau, so convexity gives S(W || tau) >= f(tau) - log2(1 + REG_EPS) >= value -
-    Tr[G sigma] + lambda_min(G - s Z) - log2(1 + REG_EPS) for each s >= 0 (see _dual_floor).
+    G = sum_k g_k P_k, from the point's Pauli gradient g, is f's gradient matrix less a multiple
+    of I (which would shift Tr[G sigma] = g.x and lambda_min(G - s Z) alike).  The dual
+    Z = Gamma[(sigma^Gamma)^-1] / t has Tr[Z tau] >= 0 on separable tau, so convexity gives
+    S(W || tau) >= f(sigma) - Tr[G sigma] + lambda_min(G - s Z) for each s >= 0 (see _dual_floor).
     """
-    grad = np.tensordot(point.grad[0], PAULI_PRODUCTS, 1) / (1.0 + REG_EPS)
+    grad = np.tensordot(point.grad[0], PAULI_PRODUCTS, 1)
     # inverted through its eigenbasis: an LU inverse of the near-singular sigma^Gamma loses the
     # dual's weak directions (at t ~ 2e10, E2E-2 gaps of 1.5e-7 to 2.7e-7, not 4e-10 to 5e-8)
     dual = partial_transpose((point.u[1] / point.mu[1]) @ point.u[1].conj().T) / t
-    lower = (point.f - float(point.grad[0] @ point.x) / (1.0 + REG_EPS) + _dual_floor(grad, dual)
-             - math.log2(1.0 + REG_EPS))
-    keep = best is not None and best.value <= point.f  # the best value so far, with its sigma
+    lower = point.f - float(point.grad[0] @ point.x) + _dual_floor(grad, dual)
+    value = point.f + point.objective.roundoff(point.ev, point.wt)
+    keep = best is not None and best.value <= value  # the best value so far, with its sigma
     lower = lower if best is None else max(lower, best.lower)
-    value, sigma = (best.value, best.sigma) if keep else (point.f, _sigmas(point.x)[0])
+    value, sigma = (best.value, best.sigma) if keep else (value, _sigmas(point.x)[0])
     return _estimate(value, lower, sigma, iterations, config)
 
 
@@ -497,9 +503,12 @@ def er_numeric(w, config=None):
         sigma = w if least >= 0.0 else _MIXER + (w - _MIXER) / (1.0 + 4.0 * lift)
         return _estimate(objective.value(sigma), 0.0, sigma, 0, config)
     if config.max_iter > 0 and objective.spectrum[-2] <= EIGEN_KEEP_TOL:
-        # the hashing yield bounds E_R from below and equals it on pure states, so the gap is
-        # roundoff, which no barrier solve could narrow: the exit stands whatever gap_tol is
-        sigma = _schmidt_mixture(w).state()
+        # the Schmidt terms' mixture is the closest separable state (Vedral & Plenio, PRA 57, 1619,
+        # 1998), and the hashing yield bounds E_R from below and equals it on pure states, so the
+        # gap is roundoff, which no barrier solve could narrow: the exit stands whatever gap_tol is
+        u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
+        terms = product_vector(u.T * sv[:, None], vh) / np.linalg.norm(sv)  # row i: sv_i |u_i v_i>
+        sigma = terms.T @ terms.conj()
         lower = hashing_distillable(w) - SCHMIDT_ROUNDOFF
         return _estimate(objective.value(sigma), lower, sigma, 1, config)
 

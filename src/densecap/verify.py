@@ -14,7 +14,6 @@ the hashing yield (at least C - 1) to E_R (entanglement.hashing_distillable).
 
 import copy
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,21 +34,6 @@ MAX_SWEEP_ROWS = 10**6
 
 FLAG_NAMES = ("lower_bound_ok", "ef_upper_ok", "er_conjecture_ok", "delta_bound_ok", "lemma_ok")
 THEOREM_FLAGS = ("lower_bound_ok", "ef_upper_ok", "delta_bound_ok", "lemma_ok")
-
-
-def default_tolerances():
-    """Comparison tolerances; DENSECAP_TOL overrides the closed-form one."""
-    tols = {"closed_form": CLOSED_FORM_TOL, "lemma": LEMMA_TOL}
-    override = os.environ.get("DENSECAP_TOL")
-    if override:
-        try:
-            value = float(override)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value > 0.0):
-            raise OutOfRange(f"DENSECAP_TOL={override!r} is not a positive number")
-        tols["closed_form"] = value
-    return tols
 
 
 def lemma_ok(check):
@@ -120,7 +104,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
         if not gap <= FAMILY_MATCH_TOL:
             raise OutOfRange(f"{family} {list(params)} does not build the given state (gap {gap:.3g})")
         e_r_closed = row.e_r(*args)
-    tols = default_tolerances()
+    tols = {"closed_form": CLOSED_FORM_TOL, "lemma": LEMMA_TOL, "conjecture": CLOSED_FORM_TOL}
     caveats = []
 
     estimate = er_numeric(w0, er_config)  # validates w0 for the lines below
@@ -138,13 +122,10 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
 
     if e_r_closed is not None:
         e_r_upper = e_r_lower = e_r_closed
-        tols["conjecture"] = tols["closed_form"]
     else:
         e_r_upper, e_r_lower = estimate.value, estimate.lower
-        tols["conjecture"] = tols["closed_form"] + (er_config or ErConfig()).gap_tol
-        caveats.append(
-            "numeric E_R is an upper bound on true E_R; flag is a sufficient check"
-        )
+        tols["conjecture"] += (er_config or ErConfig()).gap_tol
+        caveats.append("numeric E_R is an upper bound on true E_R; flag is a sufficient check")
 
     average = sdc_average_check(w0)
     flags = {

@@ -27,6 +27,7 @@ from densecap import (
     von_neumann,
     werner,
 )
+from densecap.entanglement import PURITY_TOL
 from densecap.errors import NotASimplex, NotPure, OutOfRange
 from densecap.linalg import partial_transpose, tensor
 from densecap.states import projector
@@ -62,6 +63,18 @@ class TestEntropyOfEntanglement:
     def test_rejects_mixed(self):
         with pytest.raises(NotPure):
             entropy_of_entanglement(werner(0.75))
+
+    @pytest.mark.parametrize("share, passes", [(0.5, True), (2.0, False)])
+    def test_purity_tolerance_on_each_side(self, share, passes):
+        # (1 - e) phi+ + e phi- has Tr rho^2 = 1 - 2 e (1 - e), here 1 - share * PURITY_TOL
+        e = (1.0 - math.sqrt(1.0 - 2.0 * share * PURITY_TOL)) / 2.0
+        rho = bell_diagonal([1.0 - e, e, 0.0, 0.0])
+        assert abs(1.0 - np.trace(rho @ rho).real - share * PURITY_TOL) <= 1e-3 * PURITY_TOL
+        if passes:
+            assert abs(entropy_of_entanglement(rho) - 1.0) < 1e-12
+        else:
+            with pytest.raises(NotPure):
+                entropy_of_entanglement(rho)
 
 
 class TestConcurrence:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from densecap.linalg import (
     ID2,
     SIGMA_X,
     SIGMA_Z,
+    UNITARY_TOL,
+    check_unitary,
     conjugate_local,
     partial_trace,
     partial_transpose,
@@ -148,6 +152,16 @@ class TestConjugateLocal:
     def test_rejects_non_unitary(self):
         with pytest.raises(NonUnitary):
             conjugate_local(ID4 / 4, np.array([[1, 1], [0, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("share, passes", [(0.5, True), (2.0, False)])
+    def test_unitary_tolerance_on_each_side(self, share, passes):
+        # sqrt(1 + d) I has u u^dagger - I = d I, here d = share * UNITARY_TOL
+        u = math.sqrt(1.0 + share * UNITARY_TOL) * ID2
+        if passes:
+            assert np.array_equal(check_unitary(u), u)
+        else:
+            with pytest.raises(NonUnitary):
+                check_unitary(u)
 
     def test_rejects_a_unitary_that_is_not_2x2(self):
         with pytest.raises(BadDimension):

@@ -28,6 +28,7 @@ from densecap.entanglement import PPT_TOL
 from densecap.errors import OutOfRange
 from densecap.linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
+    _HADAMARD4,
     _STEP_SIZES,
     BARRIER_GROWTH,
     BARRIER_NU,
@@ -36,7 +37,6 @@ from densecap.separable import (
     DUAL_ROUNDOFF,
     DUAL_STEPS,
     EIGEN_KEEP_TOL,
-    REG_EPS,
     ROUGH_CENTERING,
     ErConfig,
     SeparableAnsatz,
@@ -236,11 +236,14 @@ class TestErNumeric:
         assert np.array_equal(er_numeric(werner(0.3)).sigma, werner(0.3))
 
     def test_ppt_exit_honours_gap_tol(self):
-        # sigma = W scores 7.2e-13 here (REG_EPS): above a 1e-13 gap_tol, so not converged,
-        # and a barrier solve would not narrow it, so the exit still takes no iteration
-        estimate = er_numeric(bell_diagonal([0.5, 0.5, 0.0, 0.0]), ErConfig(gap_tol=1e-13))
-        assert estimate.iterations == 0 and estimate.lower == 0.0
-        assert estimate.gap > 1e-13 and not estimate.converged
+        # sigma = W: the gap is value's roundoff margin alone (2.2e-14 here), so the exit converges
+        # at a 1e-13 gap_tol; at 1e-14 it does not, and since a barrier solve would not narrow
+        # the gap, the exit still takes no iteration
+        w_state = bell_diagonal([0.5, 0.5, 0.0, 0.0])
+        for gap_tol, converged in ((1e-13, True), (1e-14, False)):
+            estimate = er_numeric(w_state, ErConfig(gap_tol=gap_tol))
+            assert estimate.iterations == 0 and estimate.lower == 0.0
+            assert 0.0 < estimate.gap <= 1e-13 and estimate.converged == converged
 
     @pytest.mark.parametrize("field,value", [
         ("gap_tol", float("nan")), ("gap_tol", -1.0), ("gap_tol", 0.0), ("gap_tol", float("inf")),
@@ -481,14 +484,14 @@ class TestErNumericProperties:
 
 def grid_gap(w_state, estimate, points=100_000):
     """Conditional-gradient gap Tr[G sigma] - min Tr[G P] over product states P at the
-    returned mixture sigma, G = sum_k g_k P_k / (1 + REG_EPS) the objective's gradient matrix
+    returned mixture sigma, G = sum_k g_k P_k the objective's gradient matrix
     (less its multiple of the identity, which cancels) from the Pauli gradient g of the point
     record at sigma, with the minimum taken over a random sphere grid of Bob directions, each
     at its exact best Alice one: P = (I + a.sigma)/2 x (I + b.sigma)/2 has Tr[-G P] =
     (a.r + b.s + a.T b) / 4."""
     objective = _Objective(w_state)
     x_sigma = np.einsum("kij,ji->k", PAULI_PRODUCTS, estimate.argmin.state()).real  # Tr[P_k sigma]
-    coeffs = -4.0 * _Point(x_sigma, objective).differentiate().grad[0] / (1.0 + REG_EPS)
+    coeffs = -4.0 * _Point(x_sigma, objective).differentiate().grad[0]
     r, s, t = coeffs[:3], coeffs[3:6], coeffs[6:].reshape(3, 3)
     beta = np.random.default_rng(12345).standard_normal((points, 3))
     beta /= np.linalg.norm(beta, axis=1, keepdims=True)
@@ -538,7 +541,7 @@ class TestReportedGap:
             assert estimate.value == pytest.approx(entropy_of_entanglement(w_state), abs=1e-9)
 
     def test_pure_state_exit_stands_below_its_gap(self):
-        # a gap_tol below the exit's roundoff gap (about 1e-12) must keep the exit: a barrier
+        # a gap_tol below the exit's roundoff gap (about 1.2e-13) must keep the exit: a barrier
         # solve from there ends far wider (gap 7.9e-9 on phi+, 8.9e-4 at |a|^2 = 0.565)
         for a2 in (0.5, 0.565, 0.9):
             w_state = pure_schmidt(np.sqrt(a2), np.sqrt(1.0 - a2))
@@ -561,7 +564,7 @@ class TestReportedGap:
 
     def test_tight_gap_tol_keeps_the_best_interval_and_stops_at_the_floor(self, monkeypatch):
         # at gap_tol 1e-10 the aimed t = 8e10 certifies before the roundoff floor, and the 3
-        # unconverged E2E-2 states stop at gaps of 2.1e-10 to 3.1e-10 by t = 2.16e15, after 742
+        # unconverged E2E-2 states stop at gaps of 2.1e-10 to 3.1e-10 by t = 2.16e15, after 740
         # steps for the 50 with 47 converged; without the stall rule each spent all 1,500 steps
         certificates, real = [], separable._certify
 
@@ -580,7 +583,7 @@ class TestReportedGap:
                 top = min(certificates, key=lambda c: c.value)
                 assert estimate.value == top.value and np.array_equal(estimate.sigma, top.sigma)
                 assert estimate.gap <= min(c.gap for c in certificates)
-        assert steps <= 1000 and converged >= 45  # 742 and 47, with a margin for roundoff
+        assert steps <= 1000 and converged >= 45  # 740 and 47, with a margin for roundoff
         # E2E-2 state 1 at gap_tol 1e-12 with 29 steps: the certificate after the spent budget, at
         # a point one step past t = 8e12, has a lower 1e-11 below the one before it, whose lower
         # the solve keeps
@@ -588,6 +591,29 @@ class TestReportedGap:
         estimate = er_numeric(campaign_states(2, 7)[1][0], ErConfig(gap_tol=1e-12, max_iter=29))
         assert len(certificates) == 2 and certificates[1].lower < certificates[0].lower
         assert estimate.lower == certificates[0].lower and estimate.gap < certificates[1].gap
+
+
+class TestRoundoffMargin:
+    def test_margin_covers_the_error_of_a_small_eigenvalue(self):
+        # sigma = H diag(p) H and W = H diag(q) H (H = H x H) are exact in floats for dyadic p and
+        # q, so S(W || sigma) = sum q log2(q / p).  eigh's absolute error on p_0 = 2^-k is a large
+        # relative one, and its log's, weighted by q_0 = 1/8, puts f as much as 2.5e-4 below the
+        # exact value at k = 45 here: only the margin's eigenvalue term covers it
+        q = np.array([0.125, 0.125, 0.25, 0.5])
+        objective = _Objective(_HADAMARD4 @ np.diag(q) @ _HADAMARD4)
+        for k in range(40, 47):
+            p = np.array([2.0**-k, 0.25, 0.25, 0.5 - 2.0**-k])
+            exact = float(q @ np.log2(q / p))
+            assert 0.0 <= objective.value(_HADAMARD4 @ np.diag(p) @ _HADAMARD4) - exact <= 0.05, k
+
+    def test_pure_state_exit_covers_roundoff_eigenvalues_of_w(self):
+        # a pure W built in floats has eigenvalues of roundoff size, and one of 3.2e-16 (E2E-1
+        # state 328) takes 1.6e-14 off Tr W log2 W, whose exact value on the ideal state is 0:
+        # the margin's term in W's spectrum keeps value above E_v
+        for w_state, _ in campaign_states(500, 2024)[::4]:  # the rank-1 states
+            estimate = er_numeric(w_state, E2E1)
+            assert estimate.iterations == 1
+            assert estimate.lower <= entropy_of_entanglement(w_state) <= estimate.value
 
 
 class TestEstimateSigma:

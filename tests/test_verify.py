@@ -53,7 +53,6 @@ from densecap.separable import ErConfig
 from densecap.verify import (
     LEMMA_TOL,
     campaign_states,
-    default_tolerances,
     format_sweep_csv,
     lemma_campaign,
     lemma_ok,
@@ -596,7 +595,6 @@ def test_closed_form_tolerance_on_each_side(monkeypatch, offset, passes):
     # an E_R upper end offset above C fails lower_bound_ok only beyond CLOSED_FORM_TOL
     import densecap.verify as ver
 
-    monkeypatch.delenv("DENSECAP_TOL", raising=False)
     w0, real = random_state(seed=5, rank=4), ver.er_numeric
     c_sdc = check_bounds(w0, er_config=FAST_ER).c_sdc
     monkeypatch.setattr(ver, "er_numeric", lambda w, config: dataclasses.replace(
@@ -782,24 +780,3 @@ class TestCli:
                 assert docs[-1].pop("mode") == mode
             assert docs[0] == docs[1] == docs[2], state
             assert docs[0]["probs"] == [0.25] * 4
-
-    def test_tolerance_env_override(self, tmp_path):
-        import os
-
-        env = dict(os.environ)
-        env["DENSECAP_TOL"] = "1e-2"
-        proc = subprocess.run(
-            [sys.executable, "-m", "densecap", "verify", "--state", "werner:0.75"],
-            capture_output=True, text=True, env=env,
-        )
-        doc = json.loads(proc.stdout)
-        assert doc["tolerances"]["closed_form"] == 1e-2
-
-    @pytest.mark.parametrize("value", ["abc", "-1e-3", "0", "nan"])
-    def test_tolerance_env_rejects_bad_values(self, monkeypatch, value):
-        monkeypatch.setenv("DENSECAP_TOL", value)
-        with pytest.raises(OutOfRange):
-            default_tolerances()
-        proc = run_cli("verify", "--state", "werner:0.75")
-        assert proc.returncode != 0
-        assert proc.stderr.startswith("error: DENSECAP_TOL")
