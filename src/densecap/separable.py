@@ -40,7 +40,6 @@ BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER
 CENTERING_TOL = 1e-10    # centered once the Newton decrement is below this share of the value
 ROUGH_CENTERING = 1e-2   # ... or below this before the certificate's t, and at its first run
 LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of descent
-STALL_SHRINK = 0.5       # a certificate narrows the best E_R gap if it takes it below this share
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
 _STEP_SIZES = 0.5 ** np.arange(LINE_SEARCH_STEPS)
@@ -180,11 +179,6 @@ def product_decomposition(rho):
 # ---------------------------------------------------------------------------
 
 
-def _ln_divided(x, y):
-    """ln[x, y] = (ln y - ln x) / (y - x) for x <= y, free of cancellation when they are close."""
-    return np.where(y > x, np.log1p((y - x) / x) / np.where(y > x, y - x, 1.0), 1.0 / x)
-
-
 # sorted index pairs (ties first), then triples; _TRIPLES adds the positions of (lo, mid), (mid, hi)
 _SORTED = ([(i, i) for i in range(4)] + list(combinations(range(4), 2))
            + list(combinations_with_replacement(range(4), 3)))
@@ -197,7 +191,8 @@ def _log_kernels(ev):
     """The first and second divided differences K[i, j] = ln[ev_i, ev_j] and F[i, k, j] =
     ln[ev_i, ev_k, ev_j] of an ascending ev: F is (ln[a, b] - ln[b, c]) / (a - c) on each sorted
     triple a <= b <= c, or -1/(2 m^2) at its mean m when c - a is below 1e-5 c.  Each distinct pair
-    and triple is one float expression (_ln_divided's, to the bit), scattered by _K_AT and _F_AT."""
+    and triple is one float expression (to the bit the reference ln_divided's, in
+    tests/test_separable.py), scattered by _K_AT and _F_AT."""
     e = ev.tolist()
     logs = np.log1p([(e[j] - e[i]) / e[i] for i, j in _SORTED[4:10]]).tolist()
     values = [1.0 / x for x in e] + [log / (e[j] - e[i]) if e[j] > e[i] else 1.0 / e[i]
@@ -367,7 +362,7 @@ class _Point:
         least = (step @ self.diag).min()
         return _STEP_SIZES[_STEP_SIZES * least >= -1.0] if least < -1.0 else _STEP_SIZES
 
-    def search(self, t, value, step, decrement, objective):
+    def search(self, t, value, step, decrement):
         """Backtracking from this point along step at weight t (inf outside the PPT interior): the
         first trial with Armijo descent, differentiated, or None if none descends (as none does
         when the decrement is not positive, or is NaN) by more than the roundoff of value."""
@@ -375,7 +370,7 @@ class _Point:
         for size in self.step_sizes(step) if decrement > 0.0 else ():
             if 0.25 * size * decrement <= noise:
                 break
-            trial = _Point(self.x + size * step, objective)
+            trial = _Point(self.x + size * step, self.objective)
             if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
                 return trial.differentiate()
         return None
@@ -486,9 +481,8 @@ def er_numeric(w, config=None):
     ROUGH_CENTERING, or else at most CENTERING_TOL max(1, |value|), goes to _certify, which keeps
     the largest lower and the smallest value (with its sigma, in the PPT interior) so far; unless
     that is within gap_tol, a point centered to the latter certifies again.  The solve returns once
-    value - lower <= gap_tol, or once two such tight certificates in a row fail to bring the gap
-    below STALL_SHRINK of its best at the growth before (the roundoff floor), the budget is spent or
-    no step descends beyond roundoff.  Deterministic.
+    value - lower <= gap_tol, the budget is spent or no step descends beyond the roundoff of the
+    barrier value (the roundoff floor, see _Point.search).  Deterministic.
     """
     config = check_instance(ErConfig() if config is None else config, ErConfig, "E_R config")
     w = validate_state(w)
@@ -518,8 +512,8 @@ def er_numeric(w, config=None):
     t_star, rounds = min(BARRIER_NU / config.gap_tol, np.finfo(float).max), 0
     while t_star / BARRIER_GROWTH ** rounds >= BARRIER_GROWTH * BARRIER_START:
         rounds += 1
-    t, best, last = t_star / BARRIER_GROWTH ** rounds, None, None
-    iterations, stalls, due = 0, 0, True  # due: the rough certificate is still to run at this t
+    t, best = t_star / BARRIER_GROWTH ** rounds, None
+    iterations, due = 0, True  # due: the rough certificate is still to run at this t
     # the ray's center at t (x_w: W's Pauli coordinates Tr[W P_k]), or I/4 if it is not PPT
     x_w = (PAULI_PRODUCTS.reshape(15, 16).conj() @ w.ravel()).real
     point = _Point(_ray_center(spectra, t) * x_w, objective)
@@ -528,7 +522,7 @@ def er_numeric(w, config=None):
         value, step, decrement = point.newton(t)
         steps = [(value, step, decrement)]
         # from t_star, the first rough center at each t certifies (its gap is near BARRIER_NU / t);
-        # if that fails, a tight one (the roundoff of value at large t) certifies, to stall or grow
+        # if that fails, a tight one (the roundoff of value at large t) certifies before t grows
         certify, tight = t >= t_star, CENTERING_TOL * max(1.0, abs(value))
         if certify and due and tight < decrement <= ROUGH_CENTERING:
             due, best = False, _certify(point, t, config, iterations, best)
@@ -537,11 +531,9 @@ def er_numeric(w, config=None):
         if not decrement > (tight if certify else ROUGH_CENTERING):
             if certify:
                 best = _certify(point, t, config, iterations, best)
-                stalls = 0 if last is None or best.gap < STALL_SHRINK * last.gap else stalls + 1
-                if best.converged or stalls == 2:
+                if best.converged:
                     return best
-            last, due = best, True
-            rounds -= 1
+            due, rounds = True, rounds - 1
             last_t, t = t, t_star / BARRIER_GROWTH ** rounds
             # the tangent predicts the new center on a path x(t) ~ x* + c / t; a Newton step at
             # the new t (None: solved only if needed) takes over if no size of it descends
@@ -550,7 +542,7 @@ def er_numeric(w, config=None):
             steps = [(t * point.f - point.logdet, predicted, -float(grad @ predicted)), None]
         iterations += 1
         for candidate in steps:
-            moved = point.search(t, *(candidate or point.newton(t)), objective)
+            moved = point.search(t, *(candidate or point.newton(t)))
             if moved is not None:
                 break
         else:  # no descent at the roundoff floor: no further step can move sigma

@@ -99,6 +99,33 @@ def test_psd_tolerance_on_each_side(c, valid):
             validate_state(rho)
 
 
+# the same for the Hermiticity and trace tests: I/4 with c added above the diagonal (its mirror
+# entry stays, so the Hermiticity residual is c) or on the diagonal (trace 1 + c)
+@pytest.mark.parametrize("c, valid", [(0.5e-12, True), (2e-12, False)])
+@pytest.mark.parametrize("entry, error", [((0, 1), "not Hermitian"), ((0, 0), "trace")],
+                         ids=["hermiticity", "trace"])
+def test_hermiticity_and_trace_tolerances_on_each_side(entry, error, c, valid):
+    rho = np.eye(4, dtype=complex) / 4
+    rho[entry] += c
+    if valid:
+        assert np.array_equal(validate_state(rho), rho)
+    else:
+        with pytest.raises(InvalidState, match=error):
+            validate_state(rho)
+
+
+# the same for check_simplex: an entry of -c (the others summing to 1 + c), or a sum of 1 + c
+@pytest.mark.parametrize("probs, valid", [
+    ([-0.5e-12, 0.5 + 0.5e-12, 0.25, 0.25], True), ([-2e-12, 0.5 + 2e-12, 0.25, 0.25], False),
+    ([0.25 + 0.5e-12, 0.25, 0.25, 0.25], True), ([0.25 + 2e-12, 0.25, 0.25, 0.25], False),
+])
+def test_simplex_tolerance_on_each_side(probs, valid):
+    if valid:
+        assert np.array_equal(check_simplex(probs), np.clip(probs, 0.0, None))
+    else:
+        with pytest.raises(NotASimplex):
+            check_simplex(probs)
+
 class TestFamilies:
     def test_lambda_a_endpoints(self):
         np.testing.assert_allclose(lambda_a(1.0), bell("phi+"), atol=1e-15)

@@ -145,6 +145,17 @@ class TestCheckBounds:
     def test_family_must_build_the_state(self):
         with pytest.raises(OutOfRange):
             check_bounds(werner(0.75), family="werner", params=[1.0], er_config=FAST_ER)
+        # each side of FAMILY_MATCH_TOL: werner(0.75) nudged by c on entry (0, 1) and its mirror,
+        # a Hermitian, traceless change whose largest entry gap is c
+        for c, valid in ((0.5e-12, True), (2e-12, False)):
+            w0 = werner(0.75)
+            w0[0, 1] += c
+            w0[1, 0] += c
+            if valid:
+                assert check_bounds(w0, family="werner", params=[0.75], er_config=FAST_ER).passed
+            else:
+                with pytest.raises(OutOfRange, match="does not build"):
+                    check_bounds(w0, family="werner", params=[0.75], er_config=FAST_ER)
 
     def test_to_dict_copies_every_field(self):
         from dataclasses import fields
