@@ -522,17 +522,14 @@ def er_numeric(w, config=None):
         value, step, decrement = point.newton(t)
         steps = [(value, step, decrement)]
         # from t_star, the first rough center at each t certifies (its gap is near BARRIER_NU / t);
-        # if that fails, a tight one (the roundoff of value at large t) certifies before t grows
+        # if that fails, a tight one (to the roundoff of value, or NaN) certifies before t grows
         certify, tight = t >= t_star, CENTERING_TOL * max(1.0, abs(value))
-        if certify and due and tight < decrement <= ROUGH_CENTERING:
+        centered = not decrement > (tight if certify else ROUGH_CENTERING)
+        if certify and (centered or due and decrement <= ROUGH_CENTERING):
             due, best = False, _certify(point, t, config, iterations, best)
             if best.converged:
                 return best
-        if not decrement > (tight if certify else ROUGH_CENTERING):
-            if certify:
-                best = _certify(point, t, config, iterations, best)
-                if best.converged:
-                    return best
+        if centered:
             due, rounds = True, rounds - 1
             last_t, t = t, t_star / BARRIER_GROWTH ** rounds
             # the tangent predicts the new center on a path x(t) ~ x* + c / t; a Newton step at

@@ -17,7 +17,7 @@ from densecap import (
     von_neumann,
 )
 from densecap.errors import InvalidState, NotASimplex
-from densecap.infotheory import entropy_of_eigenvalues
+from densecap.infotheory import _clamp, entropy_of_eigenvalues
 from densecap.states import validate_state
 
 
@@ -143,6 +143,21 @@ class TestRelativeEntropy:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidState):
             relative_entropy(np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4)
+
+    # the support tolerances on each side, with sigma = diag(1 - a, a) and rho = diag(1 - b, b):
+    # rho's eigenvalue b is in its kernel below SUPPORT_KERNEL_TOL (1e-12), and sigma's weight a
+    # in that kernel gives +inf above SUPPORT_WEIGHT_TOL (1e-10)
+    @pytest.mark.parametrize("a, b, finite", [
+        (1.0, 0.5e-12, False), (1.0, 2e-12, True), (0.5e-10, 0.0, True), (2e-10, 0.0, False),
+    ], ids=["kernel-half", "kernel-twice", "weight-half", "weight-twice"])
+    def test_support_tolerances_on_each_side(self, a, b, finite):
+        sigma, rho = (np.diag([1.0 - x, x]).astype(complex) for x in (a, b))
+        assert math.isfinite(relative_entropy(sigma, rho)) == finite
+
+    # a roundoff negative is clamped to 0 down to -_NEG_CLAMP (1e-9), and kept below it
+    @pytest.mark.parametrize("value, clamped", [(-0.5e-9, 0.0), (-2e-9, -2e-9)])
+    def test_negative_clamp_on_each_side(self, value, clamped):
+        assert _clamp(np.array([value]))[0] == clamped
 
 
 class TestStackedEntropy:

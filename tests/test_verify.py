@@ -770,15 +770,19 @@ class TestCli:
             ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.5",
              "--out", str(tmp_path / "missing" / "sweep.csv")],
         ]
+        # in-process: main raises SystemExit with the message, which a process prints to stderr
+        # before it exits 1 (as the one subprocess run below shows)
         for args in cases:
-            proc = run_cli(*args)
-            assert proc.returncode == 1, args
-            assert proc.stderr.startswith("error: "), (args, proc.stderr)
-            assert "Traceback" not in proc.stderr, args
+            with pytest.raises(SystemExit) as exit_info:
+                main(args)
+            assert str(exit_info.value.code).startswith("error: "), (args, exit_info.value.code)
         for command, seed in (("verify", "-1"), ("lemma", "-3")):  # the seed the user typed
-            proc = run_cli(command, "--random", "2", "--seed", seed)
-            assert proc.returncode == 1, command
-            assert proc.stderr == f"error: seed must be an integer in [0, inf], got {seed}\n"
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--random", "2", "--seed", seed])
+            assert exit_info.value.code == f"error: seed must be an integer in [0, inf], got {seed}"
+        proc = run_cli(*cases[0])
+        assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_capacity_modes_agree(self, capsys):
         # uniform Pauli letters are optimal, so every mode prints the same numbers
