@@ -741,13 +741,20 @@ STEP_BUDGETS = [
     # barrier value's roundoff at large t (21 converge if it waits for CENTERING_TOL itself), and
     # the line search stops at that roundoff (without the stop, 37,725 steps, 25 solves spending
     # all 1,500).  25 converge, against 17 when every lower end lost log2(1 + 1e-12) and 19 with
-    # EIGEN_KEEP_TOL at 1e-12.  A solve that spends its budget fails its panel's rows: state 1 did
-    # when its first certificate waited for a decrement of ROUGH_CENTERING, below the roundoff
+    # EIGEN_KEEP_TOL at 1e-12.  A solve that spends its budget fails its panel's rows
     pytest.param(E2E2_50, ErConfig(gap_tol=1e-12), "steps", 1500, 1038, id="e2e2-1e-12-steps"),
     pytest.param(E2E2_50, ErConfig(gap_tol=1e-12), "most steps", 60, 37,
                  id="e2e2-1e-12-most-steps"),
     pytest.param(E2E2_50, ErConfig(gap_tol=1e-12), "converged", 22, 25,
                  id="e2e2-1e-12-converged"),
+    # E2E-2 state 1: at 1e-12 a decrement of ROUGH_CENTERING is below the roundoff of the barrier
+    # value, and a first certificate that waited for that decrement spent all 1,500 steps
+    pytest.param((7, (1,)), ErConfig(gap_tol=1e-12), "most steps", 40, 33, id="e2e2-state-1"),
+    # E2E-2 state 13 started from I/4, and state 6 from the ray center, went on centering at
+    # t = 2.16e17, where Armijo decreases below the barrier value's roundoff are noise: before
+    # the line search stopped there, accepting them spent all 1,500 steps on each
+    pytest.param((7, (6, 13)), ErConfig(gap_tol=1e-12), "most steps", 60, 37,
+                 id="e2e2-states-6-13"),
 ]
 
 
