@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import NotPure
-from .infotheory import entropy_of_eigenvalues, von_neumann
+from .infotheory import entropy_of_eigenvalues
 from .linalg import SPIN_FLIP, partial_trace, partial_transpose
 from .states import binary_entropy, parse_family, validate_state
 
@@ -23,12 +23,18 @@ PURITY_TOL = 1e-8
 
 
 def entropy_of_entanglement(rho):
-    """Entropy of either marginal of a pure two-qubit state, in bits."""
+    """Entropy S(A) of the first marginal of a pure two-qubit state (S(B) to roundoff), in bits."""
     rho = validate_state(rho)
     purity = np.trace(rho @ rho).real
     if not _pure(purity):
         raise NotPure(f"Tr rho^2 = {purity:.10f} is not 1 within {PURITY_TOL:.0e}")
-    return von_neumann(partial_trace(rho, over="A"))
+    return float(_marginal_entropies(rho)[0])
+
+
+def _marginal_entropies(rho):
+    """(S(A), S(B)) of a validated rho, from one eigvalsh of its two marginals stacked."""
+    return entropy_of_eigenvalues(np.linalg.eigvalsh(np.stack([partial_trace(rho, "B"),
+                                                               partial_trace(rho, "A")])))
 
 
 def _pure(purity):
@@ -96,11 +102,9 @@ def hashing_distillable(rho):
     states, whose marginals are I/2, it is 1 - S(rho).
     """
     rho = validate_state(rho)
-    marginals = np.linalg.eigvalsh(np.stack([partial_trace(rho, "B"), partial_trace(rho, "A")]))
-    s_a, s_b = entropy_of_eigenvalues(marginals)
-    return _hashing(s_a, s_b, entropy_of_eigenvalues(np.linalg.eigvalsh(rho)))
+    return _hashing(_marginal_entropies(rho), entropy_of_eigenvalues(np.linalg.eigvalsh(rho)))
 
 
-def _hashing(s_a, s_b, s_ab):
-    """The hashing yield of a state with entropies S(A), S(B) and S(AB)."""
-    return min(max(float(max(s_a, s_b)) - s_ab, 0.0), 1.0)
+def _hashing(marginals, s_ab):
+    """The hashing yield of a state with marginal entropies (S(A), S(B)) and entropy S(AB)."""
+    return min(max(float(max(marginals)) - s_ab, 0.0), 1.0)

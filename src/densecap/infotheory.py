@@ -61,9 +61,11 @@ def _relative_entropies_to(sigmas, entropies, ev, vec):
     kernel = ev < SUPPORT_KERNEL_TOL
     log_ev = np.log2(np.where(kernel, 1.0, ev))  # 0 on the kernel, so its weights drop out
     # one (1, n) @ (n, 1) dot per pair adds its terms in a 1-D dot's order, unlike .sum(-1)
-    cross = (weights[:, :, None, :] @ log_ev[None, :, :, None])[:, :, 0, 0]
-    values = _clamp(-entropies[:, None] - cross)
-    return np.where((weights * kernel).sum(-1) > SUPPORT_WEIGHT_TOL, np.inf, values)
+    values = -entropies[:, None] - (weights[:, :, None, :] @ log_ev[None, :, :, None])[:, :, 0, 0]
+    # sigma's kernel weight (to SUPPORT_WEIGHT_TOL) is out of the dot but in its entropy: Klein's 0
+    stray = (weights * kernel).sum(-1)
+    values = np.where(stray > 0.0, values.clip(0.0), _clamp(values))
+    return np.where(stray > SUPPORT_WEIGHT_TOL, np.inf, values)
 
 
 @dataclass(frozen=True)

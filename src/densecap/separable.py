@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .entanglement import PPT_TOL, hashing_distillable
+from .entanglement import PPT_TOL, _hashing, _marginal_entropies
 from .errors import OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import PAULI_PRODUCTS, SPIN_FLIP, partial_transpose
@@ -39,10 +39,8 @@ BARRIER_GROWTH = 30.0    # factor on t after each centering
 BARRIER_NU = 8.0         # barrier parameter: a centered point is within BARRIER_NU / t of E_R
 CENTERING_TOL = 1e-10    # centered once the Newton decrement is below this share of the value
 ROUGH_CENTERING = 1e-2   # ... or below this before the certificate's t, and at its first run
-LINE_SEARCH_STEPS = 40   # step halvings before the solve ends for want of descent
 
 _MIXER = np.eye(4, dtype=complex) / 4.0
-_STEP_SIZES = 0.5 ** np.arange(LINE_SEARCH_STEPS)
 
 # sigma = I/4 + sum_k x_k P_k / 4 over the 15 Pauli products (block 0), and its partial
 # transpose on B (block 1)
@@ -306,7 +304,7 @@ class _Point:
     (inf unless both spectra exceed EIGEN_KEEP_TOL) with sigma's spectrum ev and wt = U^dagger W U
     (the objective's at), and logdet = ln det sigma + ln det sigma^Gamma.  differentiate adds grad
     and hess as (objective, barrier -logdet) parts, for newton to weigh by t, and
-    diag[g, k, a] = (D_gk)_aa / mu_ga, from which step_sizes rules out trials."""
+    diag[g, k, a] = (D_gk)_aa / mu_ga, from which search rules out trials."""
 
     def __init__(self, x, objective):
         self.x, self.objective, self.f, self.logdet = x, objective, math.inf, 0.0
@@ -355,24 +353,22 @@ class _Point:
         except np.linalg.LinAlgError:
             return np.full(15, math.nan)
 
-    def step_sizes(self, step):
-        """The line search's sizes 1, 1/2, ... less those at which a diagonal entry of the trial
-        in this point's eigenbases, mu_ga (1 + size (diag @ step)_ga), is negative: not PPT.
-        size (diag @ step)_ga < -1 holds for some entry exactly when it holds for the least."""
-        least = (step @ self.diag).min()
-        return _STEP_SIZES[_STEP_SIZES * least >= -1.0] if least < -1.0 else _STEP_SIZES
-
     def search(self, t, value, step, decrement):
-        """Backtracking from this point along step at weight t (inf outside the PPT interior): the
-        first trial with Armijo descent, differentiated, or None if none descends (as none does
-        when the decrement is not positive, or is NaN) by more than the roundoff of value."""
-        noise = 4.0 * math.ulp(value)
-        for size in self.step_sizes(step) if decrement > 0.0 else ():
-            if 0.25 * size * decrement <= noise:
-                break
+        """Backtracking from this point along step at weight t (inf outside the PPT interior) by
+        sizes 1, 1/2, ...: the first trial with Armijo descent, differentiated, or None once the
+        descent asked for is within the roundoff of value (at once unless 0 < decrement < inf).
+        It skips the sizes at which a diagonal entry of the trial in this point's eigenbases,
+        mu_ga (1 + size (diag @ step)_ga), is negative (not PPT): those at which the least is."""
+        if not 0.0 < decrement < math.inf:
+            return None
+        least, size, noise = (step @ self.diag).min(), 1.0, 4.0 * math.ulp(value)
+        while size * least < -1.0:
+            size *= 0.5
+        while 0.25 * size * decrement > noise:
             trial = _Point(self.x + size * step, self.objective)
             if t * trial.f - trial.logdet <= value - 0.25 * size * decrement:
                 return trial.differentiate()
+            size *= 0.5
         return None
 
 
@@ -468,8 +464,8 @@ def er_numeric(w, config=None):
     """Proved interval [lower, value] on the relative entropy of entanglement of w, in bits.
 
     PPT states (lambda_min(W^Gamma) >= -PPT_TOL) exit at sigma = W, lifted to PPT by I/4 if need be
-    (lower 0, no iteration), and pure states at their Schmidt terms (lower hashing_distillable(w),
-    E_R there; one iteration, converged or not).  Otherwise a path-following barrier method
+    (lower 0, no iteration), and pure states at their Schmidt terms (lower the hashing yield, E_R
+    there; one iteration, converged or not).  Otherwise a path-following barrier method
     minimizes t S(W || sigma) - ln det sigma - ln det sigma^Gamma over the Pauli coordinates of
     sigma, from its minimizer on the ray from I/4 to W at the first t (_ray_center; I/4 if that is
     not PPT as computed).  t runs up to t_star = BARRIER_NU / gap_tol by factors of BARRIER_GROWTH,
@@ -503,7 +499,7 @@ def er_numeric(w, config=None):
         u, sv, vh = np.linalg.svd(np.linalg.eigh(w)[1][:, -1].reshape(2, 2))
         terms = product_vector(u.T * sv[:, None], vh) / np.linalg.norm(sv)  # row i: sv_i |u_i v_i>
         sigma = terms.T @ terms.conj()
-        lower = hashing_distillable(w) - SCHMIDT_ROUNDOFF
+        lower = _hashing(_marginal_entropies(w), -objective.const) - SCHMIDT_ROUNDOFF
         return _estimate(objective.value(sigma), lower, sigma, 1, config)
 
     # the schedule ends on the certificate's t, t_star (finite, whatever gap_tol): each t is

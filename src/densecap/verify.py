@@ -20,7 +20,7 @@ import numpy as np
 
 from .densecoding import _sdc_capacity, _sdc_distinguishability, sdc_average_check
 from .densecoding import sdc_letters  # noqa: F401 (perfbench/test_smoke.py reads it here)
-from .entanglement import _concurrence, _formation, _hashing, _pure
+from .entanglement import _concurrence, _formation, _hashing, _marginal_entropies, _pure
 from .errors import InvalidState, OutOfRange
 from .infotheory import entropy_of_eigenvalues
 from .linalg import as_matrix, partial_trace
@@ -109,12 +109,10 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
 
     estimate = er_numeric(w0, er_config)  # validates w0 for the lines below
     ev, vec = np.linalg.eigh(w0)
-    rho_b = partial_trace(w0, "A")
-    marginals = np.linalg.eigvalsh(np.stack([partial_trace(w0, "B"), rho_b]))  # rho_A, rho_B
-    s_a, s_b = entropy_of_eigenvalues(marginals)
+    s_a, s_b = _marginal_entropies(w0)
     s_w = entropy_of_eigenvalues(ev)
     c_sdc = _sdc_capacity(s_b, s_w)
-    delta = _sdc_distinguishability(c_sdc, s_b, rho_b, ev, vec)
+    delta = _sdc_distinguishability(c_sdc, s_b, partial_trace(w0, "A"), ev, vec)
     e_v = float(s_a) if _pure(float(ev @ ev)) else None  # the purity is sum ev^2
     e_f = _formation(_concurrence(ev, vec))
     if not estimate.converged:
@@ -151,7 +149,7 @@ def check_bounds(w0, family=None, params=None, er_config=None, descriptor=None):
         e_r_numeric_lower=estimate.lower,
         e_r_numeric_converged=estimate.converged,
         delta=delta,
-        e_d_interval=[_hashing(s_a, s_b, s_w), e_r_upper],
+        e_d_interval=[_hashing((s_a, s_b), s_w), e_r_upper],
         flags=flags,
         tolerances=tols,
         caveats=caveats,

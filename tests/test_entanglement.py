@@ -12,6 +12,7 @@ from densecap import (
     binary_entropy,
     capacity,
     capacity_closed_form,
+    check_bounds,
     concurrence,
     entanglement_of_formation,
     entropy_of_entanglement,
@@ -24,6 +25,7 @@ from densecap import (
     pure_schmidt,
     random_state,
     sdc_letters,
+    validate_state,
     von_neumann,
     werner,
 )
@@ -63,6 +65,15 @@ class TestEntropyOfEntanglement:
     def test_rejects_mixed(self):
         with pytest.raises(NotPure):
             entropy_of_entanglement(werner(0.75))
+
+    def test_takes_every_state_validate_state_takes(self):
+        # a Hermiticity error of 0.9e-12 at (0, 1) and (2, 3) passes validate_state, and the
+        # partial trace over A adds the two: a 2x2 marginal validated again failed at 1.8e-12
+        rho = bell("phi+")
+        rho[0, 1] += 0.9e-12
+        rho[2, 3] += 0.9e-12
+        validate_state(rho)
+        assert abs(entropy_of_entanglement(rho) - check_bounds(rho).e_v) <= 1e-12
 
     @pytest.mark.parametrize("share, passes", [(0.5, True), (2.0, False)])
     def test_purity_tolerance_on_each_side(self, share, passes):

@@ -154,6 +154,14 @@ class TestRelativeEntropy:
         sigma, rho = (np.diag([1.0 - x, x]).astype(complex) for x in (a, b))
         assert math.isfinite(relative_entropy(sigma, rho)) == finite
 
+    # sigma's weight w in rho's kernel, up to SUPPORT_WEIGHT_TOL, drops out of the log term but
+    # stays in sigma's entropy: the value read -1.78e-9 at 5e-11 and -3.47e-9 at 1e-10, below
+    # Klein's floor of 0, before such values were floored there; above the tolerance it is +inf
+    @pytest.mark.parametrize("w", [5e-11, 1e-10, 2e-10])
+    def test_kernel_weight_on_each_side(self, w):
+        value = relative_entropy(np.diag([1.0 - w, w]).astype(complex), np.diag([1.0, 0.0]))
+        assert value == math.inf if w > 1e-10 else 0.0 <= value <= 1e-9
+
     # a roundoff negative is clamped to 0 down to -_NEG_CLAMP (1e-9), and kept below it
     @pytest.mark.parametrize("value, clamped", [(-0.5e-9, 0.0), (-2e-9, -2e-9)])
     def test_negative_clamp_on_each_side(self, value, clamped):

@@ -31,7 +31,6 @@ from densecap.errors import OutOfRange
 from densecap.linalg import SPIN_FLIP, partial_transpose, tensor
 from densecap.separable import (
     _HADAMARD4,
-    _STEP_SIZES,
     BARRIER_GROWTH,
     BARRIER_NU,
     CENTERING_TOL,
@@ -611,20 +610,30 @@ class TestPointRecord:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), near_boundary=st.booleans(),
            scale=st.floats(1e-3, 1e3))
-    def test_dropped_step_sizes_leave_the_ppt_interior(self, seed, near_boundary, scale):
+    def test_search_builds_no_trial_the_diagonal_rules_out(self, seed, near_boundary, scale):
         rng = np.random.default_rng(seed)
         objective = _Objective(random_state(seed=seed, rank=4))
         x = near_boundary_point(rng) if near_boundary else interior_point(rng)
         point = _Point(x, objective).differentiate()
         step = scale * rng.standard_normal(15)
-        kept = point.step_sizes(step)
-        # the reference: each size against every diagonal entry
-        leaves = (_STEP_SIZES[:, None, None] * (step @ point.diag) < -1.0).any(axis=(1, 2))
-        assert np.array_equal(kept, _STEP_SIZES[~leaves])
-        dropped = _STEP_SIZES[: len(_STEP_SIZES) - len(kept)]
-        assert np.array_equal(kept, _STEP_SIZES[len(dropped):])  # only the largest sizes go
-        for size in dropped:
+        # the sizes at which some diagonal entry of the trial, mu_ga (1 + size (diag @ step)_ga),
+        # is negative, each against every entry
+        sizes = 0.5 ** np.arange(80)
+        ruled_out = (sizes[:, None, None] * (step @ point.diag) < -1.0).any(axis=(1, 2))
+        for size in sizes[ruled_out]:
             assert _Point(x + size * step, objective).f == math.inf
+        # a barrier value far above every trial's accepts the first trial in the PPT interior, so
+        # one eigh per trial counts the sizes tried, down to the accepted one
+        with lapack_calls() as calls:
+            moved = point.search(1.0, 1e6, step, 1e6)
+        accepted = 2.0 ** round(math.log2(np.linalg.norm(moved.x - x) / np.linalg.norm(step)))
+        assert np.array_equal(moved.x, x + accepted * step)
+        assert calls["eigh"] == np.count_nonzero(sizes[~ruled_out] >= accepted)
+        # no trial at all without a finite, positive decrement
+        for decrement in (math.nan, math.inf, 0.0, -1.0):
+            with lapack_calls() as calls:
+                assert point.search(1.0, 1e6, step, decrement) is None
+            assert calls["eigh"] == 0
 
     def test_growth_of_t_rebuilds_no_newton_data(self, monkeypatch):
         # one differentiation per accepted point and the start, however many times t grew
@@ -707,8 +716,8 @@ def panel_costs(seed, indices, config):
 # set, the bound leaving a margin for roundoff.  A barrier solve makes one eigh of the stacked
 # [sigma, sigma^Gamma] per point and one per dual probe.  The eigvalsh and svd counts depend on the
 # states alone, not on the path (two eigvalsh per state, one of W and W^Gamma stacked, and one svd
-# and three eigvalsh more per pure state), so their bounds are the counts.  No solve may spend
-# max_iter or end with value < lower.
+# and one eigvalsh, of the two marginals stacked, more per pure state), so their bounds are the
+# counts.  No solve may spend max_iter or end with value < lower.
 E2E1_16, E2E2_50 = (2024, range(16)), (7, range(50))
 STEP_BUDGETS = [
     # campaign's 16 states (E2E-1's first) took 155 steps before the rough certificate and the
@@ -719,16 +728,17 @@ STEP_BUDGETS = [
     # 246 eigh calls when trials that a diagonal entry shows to be outside the PPT set were built,
     # and as many when _certify decomposed sigma (with 55 eigvalsh and 15 svd); 60 eigvalsh when
     # the objective or the PPT test took a spectrum of its own; 6 svd when the PPT exit decomposed
-    # sigma
+    # sigma; 44 eigvalsh when the pure-state exit called hashing_distillable
     pytest.param(E2E1_16, E2E1, "eigh", 230, 224, id="campaign-eigh"),
-    pytest.param(E2E1_16, E2E1, "eigvalsh", 44, 44, id="campaign-eigvalsh"),
+    pytest.param(E2E1_16, E2E1, "eigvalsh", 36, 36, id="campaign-eigvalsh"),
     pytest.param(E2E1_16, E2E1, "svd", 4, 4, id="campaign-svd"),
     # the first 50 E2E-2 states at the default config, as `verify --random 50 --seed 7` solves
     # them: 477 to 574 steps under the faults above, 952 eigh calls without the step-size filter
-    # and 874 without the dual search's roundoff margin
+    # and 874 without the dual search's roundoff margin; 139 eigvalsh when the pure-state exit
+    # called hashing_distillable
     pytest.param(E2E2_50, ErConfig(), "steps", 470, 440, id="e2e2-steps"),
     pytest.param(E2E2_50, ErConfig(), "eigh", 860, 841, id="e2e2-eigh"),
-    pytest.param(E2E2_50, ErConfig(), "eigvalsh", 139, 139, id="e2e2-eigvalsh"),
+    pytest.param(E2E2_50, ErConfig(), "eigvalsh", 113, 113, id="e2e2-eigvalsh"),
     pytest.param(E2E2_50, ErConfig(), "svd", 13, 13, id="e2e2-svd"),
     # at 1e-10 the first 50 E2E-2 states took 34,854 steps with 27 converged before the solve
     # kept its best interval and stopped at the roundoff floor, 868 with 47 once the t schedule

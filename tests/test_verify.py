@@ -48,8 +48,9 @@ from densecap.states import (
     state_to_json_dict,
 )
 from densecap.errors import BadDimension, DensecapError, InvalidState, NotPure, OutOfRange
-from densecap.infotheory import SUPPORT_KERNEL_TOL
-from densecap.separable import ErConfig
+from densecap.entanglement import _hashing, _marginal_entropies
+from densecap.infotheory import SUPPORT_KERNEL_TOL, entropy_of_eigenvalues
+from densecap.separable import SCHMIDT_ROUNDOFF, ErConfig
 from densecap.verify import (
     LEMMA_TOL,
     campaign_states,
@@ -174,6 +175,24 @@ class TestCheckBounds:
     def test_distillation_interval(self):
         report = check_bounds(bell("phi+"), family="pure_schmidt", params=[0.5], er_config=FAST_ER)
         assert report.e_d_interval == pytest.approx([1.0, 1.0], abs=1e-12)
+
+    def test_one_hashing_rule_on_pure_states(self):
+        # the yield max(S(A), S(B)) - S(AB) takes the marginals' entropies from one kernel.  The
+        # E_R pure-state exit reads S(AB) from W's eigvalsh, as hashing_distillable does, so its
+        # lower end is the yield less SCHMIDT_ROUNDOFF to the bit; a report reads S(AB) from the
+        # eigh it holds, whose roundoff eigenvalues move the yield by up to 1.2e-14 here
+        e2e1 = ErConfig(max_iter=600, gap_tol=1e-4)
+        pure = [(w0, e2e1) for w0, d in campaign_states(500, 2024) if d["random"]["rank"] == 1]
+        pure += [(w0, ErConfig()) for w0, d in campaign_states(50, 7) if d["random"]["rank"] == 1]
+        pure += [(pure_schmidt(math.cos(a), math.sin(a)), ErConfig())
+                 for a in np.linspace(0.0, math.pi / 2, 41)]
+        for w0, config in pure:
+            hashing = hashing_distillable(w0)
+            assert er_numeric(w0, config).lower == max(hashing - SCHMIDT_ROUNDOFF, 0.0)
+            yield_of_report = check_bounds(w0, er_config=config).e_d_interval[0]
+            s_ab = entropy_of_eigenvalues(np.linalg.eigh(w0)[0])
+            assert yield_of_report == _hashing(_marginal_entropies(w0), s_ab)
+            assert abs(yield_of_report - hashing) <= 1e-13
 
     @settings(max_examples=80, deadline=None)
     @example(seed=202, kind="random", rank=4, mix=0.0, frame=False)
@@ -563,10 +582,9 @@ def test_campaign_summaries_take_a_numpy_seed():
     assert json.loads(json.dumps(lemma_campaign(1, np.int64(3))))["seed"] == 3
 
 
-def test_check_bounds_builds_no_letters_and_validates_at_most_four_times(monkeypatch):
+def test_check_bounds_builds_no_letters_and_validates_at_most_twice(monkeypatch):
     # C and delta come from W0's spectrum, so a report builds no letter ensemble; W0 is
-    # validated by er_numeric, is_ppt and sdc_average_check, and product_decomposition
-    # (or, on a pure state, hashing_distillable) validates once more
+    # validated by er_numeric and by sdc_average_check, and by nothing else, pure or not
     import densecap.states as states
     from densecap.infotheory import LetterEnsemble
 
@@ -587,10 +605,10 @@ def test_check_bounds_builds_no_letters_and_validates_at_most_four_times(monkeyp
     for w0 in panel:
         calls.clear()
         check_bounds(w0, er_config=e2e1)
-        assert "ensemble" not in calls and len(calls) <= 4, calls
+        assert "ensemble" not in calls and len(calls) <= 2, calls
     calls.clear()
     check_bounds(werner(0.75), family="werner", params=[0.75])
-    assert "ensemble" not in calls and len(calls) <= 4, calls
+    assert "ensemble" not in calls and len(calls) <= 2, calls
 
 
 # The offsets below are literal, not multiples of the constants, so that either constant scaled
